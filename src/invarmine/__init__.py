@@ -54,7 +54,6 @@ from .mining import (
     MiningError,
     RuleSet,
     boundary_rules,
-    brute_force_frequent_sets,
     filter_closed,
     generate_rules,
     load_ruleset,
@@ -117,7 +116,6 @@ __all__ = [
     "TrainResult",
     "TreeError",
     "boundary_rules",
-    "brute_force_frequent_sets",
     "compute_column_stats",
     "detect",
     "explain",

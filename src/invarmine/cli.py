@@ -184,9 +184,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     dataset = load_csv(args.data, ruleset.schema.copy())
     if args.row >= dataset.row_count:
         raise ValueError(f"row {args.row} out of range: file has {dataset.row_count} rows")
-    reports = detect(ruleset, dataset, DetectionConfig())
-    explanation = explain(reports[args.row], ruleset)
-    print(explanation.text())
+    (report,) = detect(ruleset, dataset.take([args.row]), DetectionConfig())
+    report.row = args.row
+    print(explain(report, ruleset).text())
     return 0
 
 

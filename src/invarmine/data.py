@@ -11,7 +11,6 @@ never match predicates built from training codes.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -103,11 +102,6 @@ class Schema:
 
     def copy(self) -> "Schema":
         return Schema([Column(c.name, c.kind, list(c.values)) for c in self.columns])
-
-    def fingerprint(self) -> str:
-        """Hash of column names and kinds; value dictionaries do not count."""
-        payload = json.dumps([[c.name, c.kind] for c in self.columns])
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_dict(self) -> dict:
         out = []

@@ -12,11 +12,12 @@ without retraining.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, DataPoint, Dataset
+from .data import CATEGORICAL, DataError, DataPoint, Dataset, Schema
 from .mining import BOUNDARY, InvariantRule, RuleSet
 from .predicates import Predicate
 
@@ -50,14 +51,6 @@ class AnomalyReport:
     violations: list[RuleViolation]
 
 
-def _check_schema(ruleset: RuleSet, dataset: Dataset) -> None:
-    if ruleset.schema.fingerprint() != dataset.schema.fingerprint():
-        raise SchemaMismatchError(
-            "dataset columns do not match the rule file "
-            f"(expected {ruleset.schema!r}, got {dataset.schema!r})"
-        )
-
-
 def _active_rules(ruleset: RuleSet, ignore_rules: frozenset[int]) -> list[tuple[int, InvariantRule]]:
     for rid in ignore_rules:
         if not 0 <= rid < len(ruleset.rules):
@@ -65,37 +58,75 @@ def _active_rules(ruleset: RuleSet, ignore_rules: frozenset[int]) -> list[tuple[
     return [(rid, r) for rid, r in enumerate(ruleset.rules) if rid not in ignore_rules]
 
 
+def _in_rule_codes(schema: Schema, dataset: Dataset) -> Dataset:
+    """The dataset with categorical codes translated to the rule file's by
+    value string; values the rule file never saw become -1, which no
+    predicate matches.  A column whose value list starts with the rule
+    file's already agrees and is not copied."""
+    recoded: dict[str, np.ndarray] = {}
+    for col in schema.columns:
+        theirs = dataset.schema.column(col.name).values
+        if col.kind == CATEGORICAL and theirs[: len(col.values)] != col.values:
+            ours = [schema.code_for(col.name, v) for v in theirs]
+            lookup = np.asarray([-1 if c is None else c for c in ours], dtype=np.int64)
+            recoded[col.name] = lookup[dataset.column(col.name)]
+    if not recoded:
+        return dataset
+    return Dataset(schema, {n: recoded.get(n, dataset.column(n)) for n in schema.names})
+
+
+def _violations(
+    ruleset: RuleSet, dataset: Dataset, ignore_rules: frozenset[int]
+) -> Iterator[tuple[int, InvariantRule, np.ndarray, list[tuple[Predicate, np.ndarray]]]]:
+    """Yield (rule id, rule, violated-row mask, [(consequent predicate,
+    failed-row mask)]) for each active rule, in rule-id order.
+
+    This is where a dataset meets a rule file: column names and kinds
+    must match in order, and categorical codes are read by value (see
+    _in_rule_codes).  Each predicate's mask is computed once and shared
+    across rules; violation masks stream one rule at a time.
+    """
+    expected = [(c.name, c.kind) for c in ruleset.schema.columns]
+    if [(c.name, c.kind) for c in dataset.schema.columns] != expected:
+        raise SchemaMismatchError(
+            "dataset columns do not match the rule file "
+            f"(expected {ruleset.schema!r}, got {dataset.schema!r})"
+        )
+    active = _active_rules(ruleset, ignore_rules)
+    dataset = _in_rule_codes(ruleset.schema, dataset)
+    n = dataset.row_count
+    used = dict.fromkeys(p for _, rule in active for p in rule.antecedent + rule.consequent)
+    masks = {p: p.mask(dataset) for p in used}
+    for rid, rule in active:
+        triggered = np.ones(n, dtype=bool)
+        for p in rule.antecedent:
+            triggered &= masks[p]
+        failed = [(p, ~masks[p]) for p in rule.consequent]
+        violated = np.zeros(n, dtype=bool)
+        for _, fm in failed:
+            violated |= fm
+        violated &= triggered
+        yield rid, rule, violated, failed
+
+
 def score_dataset(
     ruleset: RuleSet, dataset: Dataset, ignore_rules: frozenset[int] = frozenset()
 ) -> np.ndarray:
     """Anomaly score per row, vectorized over the whole dataset."""
-    _check_schema(ruleset, dataset)
-    n = dataset.row_count
-    scores = np.zeros(n, dtype=np.float64)
-    cache: dict[Predicate, np.ndarray] = {}
-
-    def mask_of(p: Predicate) -> np.ndarray:
-        got = cache.get(p)
-        if got is None:
-            got = p.mask(dataset)
-            cache[p] = got
-        return got
-
-    for _, rule in _active_rules(ruleset, ignore_rules):
-        triggered = np.ones(n, dtype=bool)
-        for p in rule.antecedent:
-            triggered &= mask_of(p)
-        consequent_ok = np.ones(n, dtype=bool)
-        for p in rule.consequent:
-            consequent_ok &= mask_of(p)
-        scores += np.where(triggered & ~consequent_ok, rule.support, 0.0)
+    scores = np.zeros(dataset.row_count, dtype=np.float64)
+    for _, rule, violated, _ in _violations(ruleset, dataset, ignore_rules):
+        np.add(scores, rule.support, out=scores, where=violated)
     return scores
 
 
 def score_point(
     ruleset: RuleSet, point: DataPoint, ignore_rules: frozenset[int] = frozenset()
 ) -> float:
-    """Anomaly score of a single row, computed predicate by predicate."""
+    """Anomaly score of a single row, computed predicate by predicate.
+
+    The point must carry categorical codes in the rule file's schema:
+    take rows from a dataset loaded against ``ruleset.schema.copy()``.
+    """
     score = 0.0
     for _, rule in _active_rules(ruleset, ignore_rules):
         if all(p.holds(point) for p in rule.antecedent) and not all(
@@ -113,32 +144,14 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> list[
     breaks, in rule-id order, each with the consequent predicates that
     failed.
     """
-    _check_schema(ruleset, dataset)
     n = dataset.row_count
-    cache: dict[Predicate, np.ndarray] = {}
-
-    def mask_of(p: Predicate) -> np.ndarray:
-        got = cache.get(p)
-        if got is None:
-            got = p.mask(dataset)
-            cache[p] = got
-        return got
-
     scores = np.zeros(n, dtype=np.float64)
     per_row: list[list[RuleViolation]] = [[] for _ in range(n)]
-    for rid, rule in _active_rules(ruleset, config.ignore_rules):
-        triggered = np.ones(n, dtype=bool)
-        for p in rule.antecedent:
-            triggered &= mask_of(p)
-        failed_masks = [(p, ~mask_of(p)) for p in rule.consequent]
-        any_failed = np.zeros(n, dtype=bool)
-        for _, fm in failed_masks:
-            any_failed |= fm
-        violated = triggered & any_failed
-        scores[violated] += rule.support
+    for rid, rule, violated, failed in _violations(ruleset, dataset, config.ignore_rules):
+        np.add(scores, rule.support, out=scores, where=violated)
         for row in np.nonzero(violated)[0]:
-            failed = tuple(p for p, fm in failed_masks if fm[row])
-            per_row[row].append(RuleViolation(rule_id=rid, rule=rule, failed=failed))
+            hit = tuple(p for p, fm in failed if fm[row])
+            per_row[row].append(RuleViolation(rule_id=rid, rule=rule, failed=hit))
     return [
         AnomalyReport(
             row=i,

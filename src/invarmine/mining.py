@@ -140,33 +140,6 @@ def mine_frequent_sets(
     return out
 
 
-def brute_force_frequent_sets(
-    dataset: Dataset, catalog: PredicateCatalog, config: MiningConfig
-) -> list[FrequentSet]:
-    """Reference enumeration over every subset; capped at 20 predicates.
-
-    Recomputes all supports directly from row masks, sharing nothing
-    with the depth-first miner beyond the dataset itself.
-    """
-    m = len(catalog)
-    if m > 20:
-        raise MiningError(f"brute-force enumeration is capped at 20 predicates, got {m}")
-    n = dataset.row_count
-    masks = [p.mask(dataset) for p in catalog.predicates]
-    sups = [int(np.count_nonzero(mk)) / n for mk in masks]
-    cap = min(config.max_set_size if config.max_set_size is not None else m, m)
-    out: list[FrequentSet] = []
-    for size in range(2, cap + 1):
-        for ids in combinations(range(m), size):
-            mask = masks[ids[0]].copy()
-            for i in ids[1:]:
-                mask &= masks[i]
-            sup = int(np.count_nonzero(mask)) / n
-            if sup > max(config.theta, config.gamma * min(sups[i] for i in ids)):
-                out.append(FrequentSet(tuple(ids), sup))
-    return out
-
-
 def filter_closed(sets: list[FrequentSet]) -> list[FrequentSet]:
     """Keep sets with no equal-support frequent superset in the collection.
 
@@ -440,13 +413,23 @@ def save_ruleset(ruleset: RuleSet, path: str) -> None:
 
 
 def load_ruleset(path: str) -> RuleSet:
+    """Read a rule file; any malformed content raises DataError."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if payload.get("format") != "invariant-ruleset":
+    if not isinstance(payload, dict) or payload.get("format") != "invariant-ruleset":
         raise DataError(f"{path}: not a rule file")
+    try:
+        return _ruleset_from_json(payload)
+    except KeyError as exc:
+        raise DataError(f"{path}: malformed rule file: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed rule file: {exc}") from None
+
+
+def _ruleset_from_json(payload: dict) -> RuleSet:
     schema = Schema.from_dict(payload["schema"])
 
     continuous: dict[str, ContinuousStats] = {}
@@ -465,15 +448,23 @@ def load_ruleset(path: str) -> RuleSet:
 
     predicates = [_predicate_from_json(entry, schema) for entry in payload["predicates"]]
     supports = [float(entry["support"]) for entry in payload["predicates"]]
-    catalog_size = int(payload["catalog_size"])
+
+    def predicate(index: object) -> Predicate:
+        if type(index) is not int or not 0 <= index < len(predicates):
+            raise DataError(f"no predicate with index {index!r}")
+        return predicates[index]
+
+    catalog_size = payload["catalog_size"]
+    if type(catalog_size) is not int or not 0 <= catalog_size <= len(predicates):
+        raise DataError(f"catalog_size {catalog_size!r} does not fit {len(predicates)} predicates")
     catalog = PredicateCatalog(list(zip(predicates[:catalog_size], supports[:catalog_size])))
 
     rules = []
     for entry in payload["rules"]:
         rules.append(
             InvariantRule(
-                antecedent=tuple(predicates[i] for i in entry["antecedent"]),
-                consequent=tuple(predicates[i] for i in entry["consequent"]),
+                antecedent=tuple(predicate(i) for i in entry["antecedent"]),
+                consequent=tuple(predicate(i) for i in entry["consequent"]),
                 support=float(entry["support"]),
                 kind=entry["kind"],
             )

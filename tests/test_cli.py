@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from invarmine import cli
-from invarmine.data import save_schema, write_csv
+from invarmine.data import load_csv, save_schema, write_csv
+from invarmine.detect import DetectionConfig, detect, explain
 from invarmine.mining import load_ruleset
 from invarmine.synth import planted_rule_data
 
@@ -144,7 +145,47 @@ class TestScore:
         assert captured.err.startswith("error: ")
 
 
+# each edit turns the trained rule file into a malformed one
+MALFORMED_RULE_FILES = {
+    "index out of range": lambda p: p["rules"][0].update(antecedent=[999]),
+    "negative index": lambda p: p["rules"][0].update(consequent=[-1]),
+    "index not an integer": lambda p: p["rules"][0].update(consequent=["0"]),
+    "missing column_stats": lambda p: p.pop("column_stats"),
+    "missing rules": lambda p: p.pop("rules"),
+    "missing predicates": lambda p: p.pop("predicates"),
+    "rules not a list": lambda p: p.update(rules=5),
+    "column_stats not an object": lambda p: p.update(column_stats=[]),
+    "catalog_size out of range": lambda p: p.update(catalog_size=-1),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_RULE_FILES.values(), ids=MALFORMED_RULE_FILES.keys())
+def test_malformed_rule_file_is_a_data_error(workdir, capsys, tmp_path, edit):
+    with open(workdir["rules"]) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = cli.main(
+        ["score", "--rules", str(bad), "--data", workdir["test"], "--out", str(tmp_path / "out.jsonl")]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {bad}: malformed rule file")
+
+
 class TestExplain:
+    def test_row_text_matches_detecting_the_whole_table(self, workdir, capsys):
+        ruleset = load_ruleset(workdir["rules"])
+        reports = detect(ruleset, load_csv(workdir["test"], ruleset.schema.copy()), DetectionConfig())
+        flagged = [r.row for r in reports if r.is_anomaly and r.row > 0]
+        clean = [r.row for r in reports if not r.violations and r.row > 0]
+        args = ["explain", "--rules", workdir["rules"], "--data", workdir["test"], "--row"]
+        assert cli.main(args + [str(flagged[0])]) == 0
+        assert capsys.readouterr().out == explain(reports[flagged[0]], ruleset).text() + "\n"
+        assert cli.main(args + [str(clean[0])]) == 3
+        assert f"row {clean[0]} violates no rules" in capsys.readouterr().err
+
     def test_anomalous_row(self, workdir, capsys):
         row = workdir["labeled_anomalies"][0]
         code = cli.main(

@@ -5,7 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from invarmine.data import ColumnStats, ContinuousStats, DataError, Dataset
+from invarmine.data import (
+    CONTINUOUS,
+    Column,
+    ColumnStats,
+    ContinuousStats,
+    DataError,
+    Dataset,
+    Schema,
+    load_csv,
+    write_csv,
+)
 from invarmine.detect import (
     AnomalyReport,
     DetectionConfig,
@@ -319,3 +329,41 @@ class TestOnTrainedRules:
         probe_scores = score_dataset(ruleset, probe)
         for i in range(probe.row_count):
             assert score_point(ruleset, probe.row(i)) == probe_scores[i]
+
+
+class TestCategoricalCodes:
+    """A table meets a rule file by categorical value, not by code."""
+
+    @pytest.fixture(scope="class")
+    def ruleset(self):
+        train, _ = planted_rule_data(2000, seed=7)
+        return train_ruleset(train, TrainConfig(theta=0.15, gamma=0.3)).ruleset
+
+    def test_own_schema_scores_like_the_rule_file_schema(self, ruleset, tmp_path):
+        own, _ = planted_rule_data(1000, seed=11, violation_rate=0.0)
+        for name in ("U2", "U4"):
+            assert own.schema.column(name).values != ruleset.schema.column(name).values
+        path = str(tmp_path / "test.csv")
+        write_csv(own, path)
+        reloaded = load_csv(path, ruleset.schema.copy())
+        assert score_dataset(ruleset, own).tolist() == score_dataset(ruleset, reloaded).tolist()
+        config = DetectionConfig()
+        assert detect(ruleset, own, config) == detect(ruleset, reloaded, config)
+
+    def test_unseen_value_breaks_its_boundary_rule(self, ruleset):
+        source, _ = planted_rule_data(20, seed=11, violation_rate=0.0)
+        columns = {
+            c.name: source.column(c.name).tolist()
+            if c.kind == CONTINUOUS
+            else [source.schema.value_of(c.name, int(v)) for v in source.column(c.name)]
+            for c in source.schema.columns
+        }
+        columns["U2"][0] = "zzz"  # first seen, so it takes code 0 in its own schema
+        fresh = Schema([Column(c.name, c.kind, []) for c in source.schema.columns])
+        dataset = Dataset.from_columns(fresh, columns)
+        assert fresh.code_for("U2", "zzz") == 0
+        (report, *_) = detect(ruleset, dataset, DetectionConfig())
+        broken = [v for v in report.violations if v.rule.kind == BOUNDARY]
+        assert [v.failed[0].columns() for v in broken] == [("U2",)]
+        assert report.score >= 1.0
+        assert score_dataset(ruleset, dataset)[0] == report.score

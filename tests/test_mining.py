@@ -15,7 +15,6 @@ from invarmine.mining import (
     MiningError,
     RuleSet,
     boundary_rules,
-    brute_force_frequent_sets,
     filter_closed,
     generate_rules,
     load_ruleset,
@@ -113,23 +112,18 @@ class TestFrequentSets:
         dataset = indicator_dataset(4, {0})
         catalog = PredicateCatalog([])
         assert mine_frequent_sets(dataset, catalog, MiningConfig(0.2, 0.5)) == []
-        assert brute_force_frequent_sets(dataset, catalog, MiningConfig(0.2, 0.5)) == []
+        assert frequent_sets_by_enumeration(dataset, catalog, 0.2, 0.5, 6) == {}
 
 
 class TestBruteForce:
-    def test_catalog_size_guard(self):
-        dataset = indicator_dataset(4, {0})
-        catalog = PredicateCatalog([(Interval("X1", -INF, 1.0), 0.25)] * 21)
-        with pytest.raises(MiningError, match="capped at 20"):
-            brute_force_frequent_sets(dataset, catalog, MiningConfig(0.2, 0.5))
-
     def test_agrees_with_the_miner_on_a_small_case(self):
         dataset = indicator_dataset(8, {0, 1, 2, 3}, {1, 2, 3, 4}, {2, 3, 4, 5})
         catalog = build_catalog(dataset, indicator_predicates(3))
-        cfg = MiningConfig(theta=0.2, gamma=0.3)
-        assert brute_force_frequent_sets(dataset, catalog, cfg) == mine_frequent_sets(
-            dataset, catalog, cfg
-        )
+        mined = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.2, gamma=0.3))
+        expected = frequent_sets_by_enumeration(dataset, catalog, 0.2, 0.3, 6)
+        assert expected  # the case is not vacuous
+        # the enumeration visits sets by size, then lexicographically: the miner's order
+        assert [(s.ids, s.support) for s in mined] == list(expected.items())
 
 
 class TestClosed:
