@@ -50,6 +50,9 @@ class Schema:
         names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise DataError("schema has duplicate column names")
+        for c in columns:
+            if len(set(c.values)) != len(c.values):
+                raise DataError(f"column {c.name!r}: duplicate categorical values")
         self.columns = list(columns)
         self._by_name = {c.name: c for c in self.columns}
         # code tables mirror Column.values; intern() keeps both in sync
@@ -114,15 +117,19 @@ class Schema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Schema":
-        if not isinstance(payload, dict) or "columns" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("columns"), list):
             raise DataError("schema JSON must be an object with a 'columns' list")
         columns = []
-        for entry in payload["columns"]:
+        for i, entry in enumerate(payload["columns"]):
+            if not isinstance(entry, dict):
+                raise DataError(f"schema column entry {i} is not an object")
             name = entry.get("name")
             kind = entry.get("kind")
             if not isinstance(name, str) or not name:
                 raise DataError("schema column entry lacks a name")
             values = entry.get("values", [])
+            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                raise DataError(f"column {name!r}: 'values' must be a list of strings")
             columns.append(Column(name, kind, list(values)))
         return cls(columns)
 

@@ -15,7 +15,6 @@ roc_auc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -24,7 +24,13 @@ from .mining import (
     mine_frequent_sets,
 )
 from .predicates import PredicateCatalog, gen_categorical_predicates, gen_continuous_predicates
-from .tree import DecisionTree, extract_cutoffs, fit_classification_tree, fit_regression_tree
+from .tree import (
+    DecisionTree,
+    extract_cutoffs,
+    fit_classification_tree,
+    fit_regression_tree,
+    sort_continuous_columns,
+)
 
 
 @dataclass(frozen=True)
@@ -55,12 +61,14 @@ def _fit_trees(dataset: Dataset, min_leaf: int, workers: int | None) -> tuple[li
             for name in schema.categorical_names
         ]
     jobs += [(name, "regression") for name in schema.continuous_names]
+    # every tree splits on the continuous columns: sort them once, share read-only
+    sorted_rows = sort_continuous_columns(dataset)
 
     def run(job: tuple[str, str]) -> DecisionTree | None:
         name, kind = job
         if kind == "classification":
-            return fit_classification_tree(dataset, name, min_leaf)
-        return fit_regression_tree(dataset, name, min_leaf)
+            return fit_classification_tree(dataset, name, min_leaf, sorted_rows)
+        return fit_regression_tree(dataset, name, min_leaf, sorted_rows)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

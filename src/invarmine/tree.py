@@ -10,11 +10,22 @@ when its value is strictly greater than the threshold, and both
 children must keep strictly more than min_leaf rows.  Ties are broken
 toward the lowest feature index, then the smallest threshold, so
 fitting is deterministic.
+
+Each continuous column is sorted once per training run with a stable
+argsort, and every tree of the run shares those row orders read-only.
+A node carries one sorted row order per feature; a split partitions
+each order stably with the chosen column's "> threshold" mask instead
+of sorting again.  Stable sorting and stable partitioning keep tied
+values in row order, so inside every node rows stay ordered by (value,
+row index), exactly as a stable sort of the node's rows would order
+them.  Every prefix sum, midpoint and tie is therefore evaluated in
+the same order as a grower that re-sorts at each node, and the trees
+match it bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,60 +104,48 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def _classification_best_split(
-    X: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int
-) -> tuple[float, int, float] | None:
-    """Best (gain, feature position, threshold) at this node, or None."""
-    n = len(y)
-    parent_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+def _valid_boundaries(vs: np.ndarray, min_leaf: int) -> np.ndarray:
+    """Left sizes at distinct-value boundaries of sorted values vs that
+    leave both sides strictly more than min_leaf rows."""
+    n = len(vs)
+    change = np.nonzero(vs[1:] > vs[:-1])[0] + 1
+    return change[(change > min_leaf) & (n - change > min_leaf)]
+
+
+def _classification_gains(y: np.ndarray, yn: np.ndarray, n_classes: int):
+    """Information gain of candidate splits of the node whose targets are yn.
+
+    Returns gains(order, valid): order holds the node's rows sorted by one
+    feature, valid the left sizes to evaluate.
+    """
+    n = len(yn)
+    parent = np.bincount(yn, minlength=n_classes)
+    parent_counts = parent.astype(np.float64)
     h_parent = float(_entropy_rows(parent_counts[None, :])[0])
-    best: tuple[float, int, float] | None = None
-    for f in range(X.shape[1]):
-        v = X[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
+    present = np.flatnonzero(parent)
+
+    def gains(order: np.ndarray, valid: np.ndarray) -> np.ndarray:
         ys = y[order]
-        change = np.nonzero(vs[1:] > vs[:-1])[0] + 1  # left sizes at distinct-value boundaries
-        if len(change) == 0:
-            continue
-        valid = change[(change > min_leaf) & (n - change > min_leaf)]
-        if len(valid) == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.float64)
-        onehot[np.arange(n), ys] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left_counts = cum[valid - 1]
+        left_counts = np.zeros((len(valid), n_classes), dtype=np.float64)
+        for c in present:  # absent classes count 0 on both sides
+            left_counts[:, c] = np.cumsum(ys == c)[valid - 1]
         right_counts = parent_counts[None, :] - left_counts
         h_left = _entropy_rows(left_counts)
         h_right = _entropy_rows(right_counts)
-        gains = h_parent - (valid / n) * h_left - ((n - valid) / n) * h_right
-        pos = int(np.argmax(gains))  # first maximum: smallest threshold wins ties
-        gain = float(gains[pos])
-        b = int(valid[pos])
-        tau = (vs[b - 1] + vs[b]) / 2.0
-        if best is None or gain > best[0]:
-            best = (gain, f, tau)
-    return best
+        return h_parent - (valid / n) * h_left - ((n - valid) / n) * h_right
+
+    return gains
 
 
-def _regression_best_split(
-    X: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[float, int, float] | None:
-    n = len(y)
-    centered = y - y.mean()  # centering keeps the prefix sums well conditioned
+def _regression_gains(y: np.ndarray, yn: np.ndarray):
+    """Variance reduction of candidate splits; as _classification_gains."""
+    n = len(yn)
+    mean = yn.mean()
+    centered = yn - mean  # centering on the node's mean keeps the prefix sums well conditioned
     var_parent = float(np.mean(centered**2) - np.mean(centered) ** 2)
-    best: tuple[float, int, float] | None = None
-    for f in range(X.shape[1]):
-        v = X[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cs = centered[order]
-        change = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-        if len(change) == 0:
-            continue
-        valid = change[(change > min_leaf) & (n - change > min_leaf)]
-        if len(valid) == 0:
-            continue
+
+    def gains(order: np.ndarray, valid: np.ndarray) -> np.ndarray:
+        cs = y[order] - mean
         s1 = np.cumsum(cs)
         s2 = np.cumsum(cs**2)
         t1, t2 = s1[-1], s2[-1]
@@ -155,79 +154,145 @@ def _regression_best_split(
         l1, l2 = s1[valid - 1], s2[valid - 1]
         var_left = l2 / nl - (l1 / nl) ** 2
         var_right = (t2 - l2) / nr - ((t1 - l1) / nr) ** 2
-        gains = var_parent - (nl * var_left + nr * var_right) / n
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        b = int(valid[pos])
-        tau = (vs[b - 1] + vs[b]) / 2.0
-        if best is None or gain > best[0]:
-            best = (gain, f, tau)
-    return best
+        return var_parent - (nl * var_left + nr * var_right) / n
+
+    return gains
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
+RowOrders = dict[str, np.ndarray]
+
+
+def sort_continuous_columns(dataset: Dataset) -> RowOrders:
+    """Row indices of every continuous column in (value, row index) order.
+
+    The arrays are read-only, so trees fitted in parallel can share them.
+    """
+    orders: RowOrders = {}
+    for name in dataset.schema.continuous_names:
+        order = np.argsort(dataset.column(name), kind="stable")
+        order.flags.writeable = False
+        orders[name] = order
+    return orders
+
+
+class _Grower:
+    """Grows one tree.  A node gets its rows in row order and, for each
+    feature position f, in the sorted order orders[f]."""
+
+    def __init__(self, dataset: Dataset, target: str, features: list[str], kind: str, min_leaf: int):
+        self.y = dataset.column(target)
+        self.columns = [dataset.column(f) for f in features]
+        self.features = features
+        self.kind = kind
+        self.n_classes = int(self.y.max()) + 1 if kind == CLASSIFICATION else 0
+        self.min_leaf = min_leaf
+        self.min_split = 2 * (min_leaf + 1)  # fewer rows cannot give two children above min_leaf
+        self.go_right = np.zeros(dataset.row_count, dtype=bool)  # per-tree buffer, indexed by row
+
+    def best_split(self, yn: np.ndarray, orders: list[np.ndarray]) -> tuple[float, int, float] | None:
+        """Best (gain, feature position, threshold) at the node, or None."""
+        if self.kind == CLASSIFICATION:
+            gains_of = _classification_gains(self.y, yn, self.n_classes)
+        else:
+            gains_of = _regression_gains(self.y, yn)
+        best: tuple[float, int, float] | None = None
+        for f, order in enumerate(orders):
+            vs = self.columns[f][order]
+            valid = _valid_boundaries(vs, self.min_leaf)
+            if len(valid) == 0:
+                continue
+            gains = gains_of(order, valid)
+            pos = int(np.argmax(gains))  # first maximum: smallest threshold wins ties
+            gain = float(gains[pos])
+            if best is None or gain > best[0]:
+                b = int(valid[pos])
+                best = (gain, f, (vs[b - 1] + vs[b]) / 2.0)
+        return best
+
+    def grow(self, rows: np.ndarray, orders: list[np.ndarray]) -> TreeNode:
+        """Grow the subtree over rows; clears orders once they are partitioned."""
+        n = len(rows)
+        yn = self.y[rows]
+        if self.kind == CLASSIFICATION:
+            prediction = float(np.bincount(yn, minlength=self.n_classes).argmax())
+        else:
+            prediction = float(yn.mean())
+        node = TreeNode(n_samples=n, prediction=prediction)
+        if bool(np.all(yn == yn[0])) or n < self.min_split:
+            return node
+        found = self.best_split(yn, orders)
+        if found is None or not found[0] > 0.0:
+            return node
+        _, f, tau = found
+        node.split = SplitRule(column=self.features[f], threshold=float(tau))
+        go_right = self.go_right
+        go_right[rows] = self.columns[f][rows] > tau
+        right = go_right[rows]
+        left_rows, right_rows = rows[~right], rows[right]
+        # a child too small to split never reads its orders
+        left_splits = len(left_rows) >= self.min_split
+        right_splits = len(right_rows) >= self.min_split
+        left_orders: list[np.ndarray] = []
+        right_orders: list[np.ndarray] = []
+        for order in orders:
+            goes = go_right[order]
+            if left_splits:
+                left_orders.append(order[~goes])
+            if right_splits:
+                right_orders.append(order[goes])
+        orders.clear()  # release this node's arrays before recursing
+        del yn, right
+        node.left = self.grow(left_rows, left_orders)
+        node.right = self.grow(right_rows, right_orders)
+        return node
+
+
+def _fit(
+    dataset: Dataset,
+    target: str,
     features: list[str],
     kind: str,
-    n_classes: int,
     min_leaf: int,
-) -> TreeNode:
-    n = len(idx)
-    yn = y[idx]
-    if kind == CLASSIFICATION:
-        prediction = float(np.bincount(yn, minlength=n_classes).argmax())
-    else:
-        prediction = float(yn.mean())
-    node = TreeNode(n_samples=n, prediction=prediction)
-    if bool(np.all(yn == yn[0])) or n < 2 * (min_leaf + 1):
-        return node
-    Xn = X[idx]
-    if kind == CLASSIFICATION:
-        found = _classification_best_split(Xn, yn, n_classes, min_leaf)
-    else:
-        found = _regression_best_split(Xn, yn, min_leaf)
-    if found is None or not found[0] > 0.0:
-        return node
-    _, f, tau = found
-    right_mask = Xn[:, f] > tau
-    node.split = SplitRule(column=features[f], threshold=float(tau))
-    node.left = _grow(X, y, idx[~right_mask], features, kind, n_classes, min_leaf)
-    node.right = _grow(X, y, idx[right_mask], features, kind, n_classes, min_leaf)
-    return node
-
-
-def _fit(dataset: Dataset, target: str, features: list[str], kind: str, min_leaf: int) -> DecisionTree:
-    y = dataset.column(target)
-    n_classes = int(y.max()) + 1 if kind == CLASSIFICATION else 0
-    X = np.column_stack([dataset.column(f) for f in features])
-    idx = np.arange(dataset.row_count, dtype=np.int64)
-    root = _grow(X, y, idx, features, kind, n_classes, min_leaf)
+    sorted_rows: RowOrders | None,
+) -> DecisionTree:
+    if sorted_rows is None:
+        sorted_rows = sort_continuous_columns(dataset)
+    grower = _Grower(dataset, target, features, kind, min_leaf)
+    rows = np.arange(dataset.row_count, dtype=np.int64)
+    root = grower.grow(rows, [sorted_rows[f] for f in features])
     return DecisionTree(kind=kind, target=target, features=list(features), min_leaf=min_leaf, root=root)
 
 
-def fit_classification_tree(dataset: Dataset, target: str, min_leaf: int) -> DecisionTree:
-    """Grow a tree predicting a categorical column from all continuous columns."""
+def fit_classification_tree(
+    dataset: Dataset, target: str, min_leaf: int, sorted_rows: RowOrders | None = None
+) -> DecisionTree:
+    """Grow a tree predicting a categorical column from all continuous columns.
+
+    sorted_rows is sort_continuous_columns(dataset), passed in when several
+    trees share one sort; it is computed here when omitted.
+    """
     if dataset.schema.kind(target) != CATEGORICAL:
         raise TreeError(f"classification target {target!r} is not categorical")
     features = dataset.schema.continuous_names
     if not features:
         raise TreeError(f"classification target {target!r}: no continuous columns to split on")
-    return _fit(dataset, target, features, CLASSIFICATION, min_leaf)
+    return _fit(dataset, target, features, CLASSIFICATION, min_leaf, sorted_rows)
 
 
-def fit_regression_tree(dataset: Dataset, target: str, min_leaf: int) -> DecisionTree | None:
+def fit_regression_tree(
+    dataset: Dataset, target: str, min_leaf: int, sorted_rows: RowOrders | None = None
+) -> DecisionTree | None:
     """Grow a tree predicting a continuous column from the other continuous columns.
 
     Returns None when no other continuous column exists to split on.
+    sorted_rows is as for fit_classification_tree.
     """
     if dataset.schema.kind(target) != CONTINUOUS:
         raise TreeError(f"regression target {target!r} is not continuous")
     features = [c for c in dataset.schema.continuous_names if c != target]
     if not features:
         return None
-    return _fit(dataset, target, features, REGRESSION, min_leaf)
+    return _fit(dataset, target, features, REGRESSION, min_leaf, sorted_rows)
 
 
 CutoffTable = dict[str, list[float]]

@@ -150,3 +150,118 @@ def best_split_by_scan(X, y, min_leaf, kind):
             if best is None or gain > best[0] + 1e-12:
                 best = (gain, f, float(tau))
     return best
+
+
+def _entropy_rows(counts):
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / totals
+        terms = np.where(counts > 0, p * np.log2(p), 0.0)
+    return -terms.sum(axis=1)
+
+
+def _classification_split_by_node_sort(X, y, n_classes, min_leaf):
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    h_parent = float(_entropy_rows(parent_counts[None, :])[0])
+    best = None
+    for f in range(X.shape[1]):
+        v = X[:, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = y[order]
+        change = np.nonzero(vs[1:] > vs[:-1])[0] + 1
+        if len(change) == 0:
+            continue
+        valid = change[(change > min_leaf) & (n - change > min_leaf)]
+        if len(valid) == 0:
+            continue
+        onehot = np.zeros((n, n_classes), dtype=np.float64)
+        onehot[np.arange(n), ys] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left_counts = cum[valid - 1]
+        right_counts = parent_counts[None, :] - left_counts
+        h_left = _entropy_rows(left_counts)
+        h_right = _entropy_rows(right_counts)
+        gains = h_parent - (valid / n) * h_left - ((n - valid) / n) * h_right
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        b = int(valid[pos])
+        tau = (vs[b - 1] + vs[b]) / 2.0
+        if best is None or gain > best[0]:
+            best = (gain, f, tau)
+    return best
+
+
+def _regression_split_by_node_sort(X, y, min_leaf):
+    n = len(y)
+    centered = y - y.mean()
+    var_parent = float(np.mean(centered**2) - np.mean(centered) ** 2)
+    best = None
+    for f in range(X.shape[1]):
+        v = X[:, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        cs = centered[order]
+        change = np.nonzero(vs[1:] > vs[:-1])[0] + 1
+        if len(change) == 0:
+            continue
+        valid = change[(change > min_leaf) & (n - change > min_leaf)]
+        if len(valid) == 0:
+            continue
+        s1 = np.cumsum(cs)
+        s2 = np.cumsum(cs**2)
+        t1, t2 = s1[-1], s2[-1]
+        nl = valid.astype(np.float64)
+        nr = n - nl
+        l1, l2 = s1[valid - 1], s2[valid - 1]
+        var_left = l2 / nl - (l1 / nl) ** 2
+        var_right = (t2 - l2) / nr - ((t1 - l1) / nr) ** 2
+        gains = var_parent - (nl * var_left + nr * var_right) / n
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        b = int(valid[pos])
+        tau = (vs[b - 1] + vs[b]) / 2.0
+        if best is None or gain > best[0]:
+            best = (gain, f, tau)
+    return best
+
+
+def tree_by_node_sort(dataset, target, features, kind, min_leaf):
+    """A tree grower that re-sorts every feature at every node.
+
+    The package's presorted trees must dump identically to it.  Rows
+    inside a node stay in row order, so a stable per-node sort orders
+    them by (value, row index).
+    """
+    from invarmine.tree import DecisionTree, SplitRule, TreeNode
+
+    y = dataset.column(target)
+    n_classes = int(y.max()) + 1 if kind == "classification" else 0
+    X = np.column_stack([dataset.column(f) for f in features])
+
+    def grow(idx):
+        yn = y[idx]
+        if kind == "classification":
+            prediction = float(np.bincount(yn, minlength=n_classes).argmax())
+        else:
+            prediction = float(yn.mean())
+        node = TreeNode(n_samples=len(idx), prediction=prediction)
+        if bool(np.all(yn == yn[0])) or len(idx) < 2 * (min_leaf + 1):
+            return node
+        Xn = X[idx]
+        if kind == "classification":
+            found = _classification_split_by_node_sort(Xn, yn, n_classes, min_leaf)
+        else:
+            found = _regression_split_by_node_sort(Xn, yn, min_leaf)
+        if found is None or not found[0] > 0.0:
+            return node
+        _, f, tau = found
+        right = Xn[:, f] > tau
+        node.split = SplitRule(column=features[f], threshold=float(tau))
+        node.left = grow(idx[~right])
+        node.right = grow(idx[right])
+        return node
+
+    root = grow(np.arange(dataset.row_count, dtype=np.int64))
+    return DecisionTree(kind=kind, target=target, features=list(features), min_leaf=min_leaf, root=root)

@@ -174,6 +174,36 @@ def test_malformed_rule_file_is_a_data_error(workdir, capsys, tmp_path, edit):
     assert captured.err.startswith(f"error: {bad}: malformed rule file")
 
 
+def _u2(payload):
+    return next(c for c in payload["columns"] if c["name"] == "U2")
+
+
+# each edit turns the training schema (U2 values b, d, a, c) into a malformed one
+MALFORMED_SCHEMAS = {
+    "columns not a list": lambda p: p.update(columns=5),
+    "entry not an object": lambda p: p["columns"].__setitem__(0, 5),
+    "values a string": lambda p: _u2(p).update(values="bdac"),
+    "values not strings": lambda p: _u2(p).update(values=[1, 2]),
+    "duplicate values": lambda p: _u2(p).update(values=["b", "b"]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_SCHEMAS.values(), ids=MALFORMED_SCHEMAS.keys())
+def test_malformed_schema_is_a_data_error(workdir, capsys, tmp_path, edit):
+    with open(workdir["schema"]) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    bad = tmp_path / "schema.json"
+    bad.write_text(json.dumps(payload))
+    code = cli.main(
+        ["train", "--data", workdir["train"], "--schema", str(bad), "--theta", "0.2",
+         "--gamma", "0.3", "--max-set-size", "4", "--out", str(tmp_path / "rules.json")]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+
+
 class TestExplain:
     def test_row_text_matches_detecting_the_whole_table(self, workdir, capsys):
         ruleset = load_ruleset(workdir["rules"])

@@ -1,5 +1,7 @@
 """End-to-end training behavior and the synthetic generators."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,19 @@ class TestTraining:
         pooled = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3, max_set_size=4, workers=4))
         assert serial.ruleset == pooled.ruleset
         assert serial.warnings == pooled.warnings
+
+    def test_thread_pool_grows_the_same_trees(self):
+        # every tree reads one shared set of sorted row orders; switch threads often
+        train = random_mixed_dataset(600, 6, 4, seed=3)
+        serial = train_ruleset(train, TrainConfig(theta=0.05, gamma=0.3, max_set_size=2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = train_ruleset(train, TrainConfig(theta=0.05, gamma=0.3, max_set_size=2, workers=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(serial.trees) == 10
+        assert [t.dump() for t in pooled.trees] == [t.dump() for t in serial.trees]
 
     def test_timings_cover_every_stage(self):
         train, _ = planted_rule_data(120, seed=5)

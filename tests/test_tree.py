@@ -10,10 +10,12 @@ from invarmine.tree import (
     extract_cutoffs,
     fit_classification_tree,
     fit_regression_tree,
+    sort_continuous_columns,
 )
+from invarmine.synth import planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset
-from oracles import best_split_by_scan, split_gain_direct
+from oracles import best_split_by_scan, split_gain_direct, tree_by_node_sort
 
 
 def leaves(tree):
@@ -197,3 +199,42 @@ def test_dump_mentions_split_and_counts():
     text = tree.dump()
     assert "X1 > 5" in text
     assert "[n=40]" in text
+
+
+def fit(dataset, target, kind, min_leaf, sorted_rows=None):
+    if kind == CLASSIFICATION:
+        return fit_classification_tree(dataset, target, min_leaf, sorted_rows)
+    return fit_regression_tree(dataset, target, min_leaf, sorted_rows)
+
+
+class TestMatchesNodeSortReference:
+    """Whole trees, not just root splits, equal the per-node-sort grower."""
+
+    @pytest.mark.parametrize("kind", [CLASSIFICATION, REGRESSION])
+    def test_tie_heavy_grids(self, kind):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            dataset, target, features, _ = random_case(rng, kind)
+            n = dataset.row_count
+            for min_leaf in (0, 1, 3, n // 4, n // 2):
+                tree = fit(dataset, target, kind, min_leaf)
+                assert tree.dump() == tree_by_node_sort(dataset, target, features, kind, min_leaf).dump()
+            assert tree.root.is_leaf  # min_leaf n // 2 blocks every split
+
+    def test_generated_tables_with_shared_sorts(self):
+        tables = [random_mixed_dataset(300, 5, 3, seed=0), planted_rule_data(300, seed=1)[0]]
+        for dataset in tables:
+            schema = dataset.schema
+            sorted_rows = sort_continuous_columns(dataset)
+            jobs = [(name, CLASSIFICATION, schema.continuous_names) for name in schema.categorical_names]
+            jobs += [
+                (name, REGRESSION, [c for c in schema.continuous_names if c != name])
+                for name in schema.continuous_names
+            ]
+            for min_leaf in (3, 15):
+                for target, kind, features in jobs:
+                    tree = fit(dataset, target, kind, min_leaf, sorted_rows)
+                    assert tree.dump() == tree_by_node_sort(dataset, target, features, kind, min_leaf).dump()
+            for name, order in sorted_rows.items():  # sharing leaves the sorts intact
+                assert not order.flags.writeable
+                assert np.array_equal(order, np.argsort(dataset.column(name), kind="stable"))
