@@ -147,7 +147,10 @@ def load_schema(path: str) -> Schema:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from None
-    return Schema.from_dict(payload)
+    try:
+        return Schema.from_dict(payload)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_schema(schema: Schema, path: str) -> None:

@@ -7,6 +7,10 @@ boundary rule adds a full point and breaking a mined rule adds its
 training support.  A row is reported anomalous when its score strictly
 exceeds the threshold phi.  Individual rules can be deactivated by id
 without retraining.
+
+Explanations are built per rule from arrays, not per row: the rows that
+break a rule through the same failed consequents share one RuleViolation,
+and the report writer renders each distinct violation once.
 """
 
 from __future__ import annotations
@@ -142,24 +146,34 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> list[
     Reports come back in row order, one per row, flagged anomalous when
     score > phi.  Violations list only the rules the row actually
     breaks, in rule-id order, each with the consequent predicates that
-    failed.
+    failed.  Rows that break a rule through the same failed consequents
+    share one (frozen) RuleViolation; every clean row gets its own empty
+    list.
     """
     n = dataset.row_count
     scores = np.zeros(n, dtype=np.float64)
-    per_row: list[list[RuleViolation]] = [[] for _ in range(n)]
+    per_row: list[list[RuleViolation] | None] = [None] * n
     for rid, rule, violated, failed in _violations(ruleset, dataset, config.ignore_rules):
+        rows = np.flatnonzero(violated)
+        if not len(rows):
+            continue
         np.add(scores, rule.support, out=scores, where=violated)
-        for row in np.nonzero(violated)[0]:
-            hit = tuple(p for p, fm in failed if fm[row])
-            per_row[row].append(RuleViolation(rule_id=rid, rule=rule, failed=hit))
+        hits = np.column_stack([fm[rows] for _, fm in failed])
+        patterns, which = np.unique(hits, axis=0, return_inverse=True)
+        shared = [
+            RuleViolation(rule_id=rid, rule=rule, failed=tuple(p for (p, _), f in zip(failed, pattern) if f))
+            for pattern in patterns.tolist()
+        ]
+        for row, k in zip(rows.tolist(), which.ravel().tolist()):
+            found = per_row[row]
+            if found is None:
+                per_row[row] = [shared[k]]
+            else:
+                found.append(shared[k])
+    phi = config.phi
     return [
-        AnomalyReport(
-            row=i,
-            score=float(scores[i]),
-            is_anomaly=bool(scores[i] > config.phi),
-            violations=per_row[i],
-        )
-        for i in range(n)
+        AnomalyReport(row=i, score=s, is_anomaly=s > phi, violations=found or [])
+        for i, (s, found) in enumerate(zip(scores.tolist(), per_row))
     ]
 
 
@@ -229,23 +243,44 @@ def explain(report: AnomalyReport, ruleset: RuleSet) -> Explanation:
     return Explanation(row=report.row, score=report.score, entries=entries)
 
 
+def _json_float(x: float) -> str:
+    """x as json.dumps spells it: a finite float's repr without the
+    encoder's per-call cost, anything else through json.dumps itself."""
+    if type(x) is float and x - x == 0.0:
+        return repr(x)
+    return json.dumps(x)
+
+
 def write_reports(reports: list[AnomalyReport], ruleset: RuleSet, path: str) -> None:
-    """One JSON object per row: score, flag, and violated rule details."""
+    """One JSON object per row: score, flag, and violated rule details.
+
+    Each line is what json.dumps writes for {"row", "score", "is_anomaly",
+    "violations": [{"rule_id", "rule", "support", "failed"}, ...]} with
+    its default separators.  A violation's object is rendered once per
+    distinct (rule id, failed predicates) and reused on every row that
+    carries it; lines are written one at a time.
+    """
+    fragments: dict[tuple[int, tuple[Predicate, ...]], str] = {}
+
+    def fragment(v: RuleViolation) -> str:
+        key = (v.rule_id, v.failed)
+        text = fragments.get(key)
+        if text is None:
+            text = fragments[key] = json.dumps(
+                {
+                    "rule_id": v.rule_id,
+                    "rule": ruleset.rule_text(v.rule),
+                    "support": v.rule.support,
+                    "failed": [p.render(ruleset.schema) for p in v.failed],
+                }
+            )
+        return text
+
     with open(path, "w", encoding="utf-8") as fh:
         for r in reports:
-            payload = {
-                "row": r.row,
-                "score": r.score,
-                "is_anomaly": r.is_anomaly,
-                "violations": [
-                    {
-                        "rule_id": v.rule_id,
-                        "rule": ruleset.rule_text(v.rule),
-                        "support": v.rule.support,
-                        "failed": [p.render(ruleset.schema) for p in v.failed],
-                    }
-                    for v in r.violations
-                ],
-            }
-            fh.write(json.dumps(payload))
-            fh.write("\n")
+            violations = ", ".join([fragment(v) for v in r.violations])
+            flag = "true" if r.is_anomaly else "false"
+            fh.write(
+                f'{{"row": {r.row}, "score": {_json_float(r.score)}, '
+                f'"is_anomaly": {flag}, "violations": [{violations}]}}\n'
+            )

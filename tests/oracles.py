@@ -265,3 +265,51 @@ def tree_by_node_sort(dataset, target, features, kind, min_leaf):
 
     root = grow(np.arange(dataset.row_count, dtype=np.int64))
     return DecisionTree(kind=kind, target=target, features=list(features), min_leaf=min_leaf, root=root)
+
+
+def reports_by_row_loop(ruleset, dataset, config):
+    """detect() the slow way: one RuleViolation per violated (row, rule),
+    its failed predicates read row by row from the consequent masks."""
+    from invarmine.detect import AnomalyReport, RuleViolation, _violations
+
+    n = dataset.row_count
+    scores = np.zeros(n, dtype=np.float64)
+    per_row = [[] for _ in range(n)]
+    for rid, rule, violated, failed in _violations(ruleset, dataset, config.ignore_rules):
+        np.add(scores, rule.support, out=scores, where=violated)
+        for row in np.nonzero(violated)[0]:
+            hit = tuple(p for p, fm in failed if fm[row])
+            per_row[row].append(RuleViolation(rule_id=rid, rule=rule, failed=hit))
+    return [
+        AnomalyReport(
+            row=i,
+            score=float(scores[i]),
+            is_anomaly=bool(scores[i] > config.phi),
+            violations=per_row[i],
+        )
+        for i in range(n)
+    ]
+
+
+def write_reports_by_json_dumps(reports, ruleset, path):
+    """write_reports() the slow way: one json.dumps of the whole object per row."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in reports:
+            payload = {
+                "row": r.row,
+                "score": r.score,
+                "is_anomaly": r.is_anomaly,
+                "violations": [
+                    {
+                        "rule_id": v.rule_id,
+                        "rule": ruleset.rule_text(v.rule),
+                        "support": v.rule.support,
+                        "failed": [p.render(ruleset.schema) for p in v.failed],
+                    }
+                    for v in r.violations
+                ],
+            }
+            fh.write(json.dumps(payload))
+            fh.write("\n")

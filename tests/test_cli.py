@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invarmine import cli
 from invarmine.data import load_csv, save_schema, write_csv
@@ -49,6 +51,7 @@ def workdir(tmp_path_factory):
     assert code == 0
     paths["labeled_anomalies"] = np.nonzero(labels)[0].tolist()
     paths["n_anomalies"] = int(labels.sum())
+    paths["test_rows"] = test.row_count
     return paths
 
 
@@ -185,6 +188,8 @@ MALFORMED_SCHEMAS = {
     "values a string": lambda p: _u2(p).update(values="bdac"),
     "values not strings": lambda p: _u2(p).update(values=[1, 2]),
     "duplicate values": lambda p: _u2(p).update(values=["b", "b"]),
+    "only entry not an object": lambda p: p.update(columns=[5]),
+    "unknown kind": lambda p: _u2(p).update(kind="ordinal"),
 }
 
 
@@ -201,7 +206,66 @@ def test_malformed_schema_is_a_data_error(workdir, capsys, tmp_path, edit):
     )
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(f"error: {bad}: ")
+
+
+def _json_paths(node, path=()):
+    """Every path into a JSON tree, the root's () first."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _json_paths(child, path + (i,))
+
+
+def _parent(payload, path):
+    for step in path[:-1]:
+        payload = payload[step]
+    return payload
+
+
+JSON_VALUES = [None, True, False, 0, 7, -1, 0.5, -2.5, "", "x", [], [0], {}, {"a": 1}]
+
+
+@st.composite
+def mutated_rule_files(draw, payload):
+    """The payload with one random key deleted, one value swapped for a JSON
+    value of another type, or one rule's predicate index out of range."""
+    paths = list(_json_paths(payload))
+    how = draw(st.sampled_from(["delete", "retype", "index"]))
+    if how == "delete":
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
+        del _parent(payload, path)[path[-1]]
+    elif how == "retype":
+        path = draw(st.sampled_from(paths))
+        old = _parent(payload, path)[path[-1]] if path else payload
+        new = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+        if not path:
+            return new
+        _parent(payload, path)[path[-1]] = new
+    else:
+        n = len(payload["predicates"])
+        sides = [(i, side) for i, r in enumerate(payload["rules"]) for side in ("antecedent", "consequent") if r[side]]
+        i, side = draw(st.sampled_from(sides))
+        j = draw(st.integers(0, len(payload["rules"][i][side]) - 1))
+        payload["rules"][i][side][j] = draw(st.sampled_from([n, n + 3, -1, -n - 1]))
+    return payload
+
+
+@given(data=st.data())
+def test_mutated_rule_file_keeps_the_exit_code_contract(workdir, data):
+    with open(workdir["rules"]) as fh:
+        payload = data.draw(mutated_rule_files(json.load(fh)))
+    rules = workdir["root"] / "mutated.json"
+    out = workdir["root"] / "mutated.jsonl"
+    rules.write_text(json.dumps(payload))
+    out.unlink(missing_ok=True)
+    code = cli.main(["score", "--rules", str(rules), "--data", workdir["test"], "--out", str(out)])
+    assert code in {0, 1, 3}
+    if code == 1:
+        assert len(out.read_text().splitlines()) == workdir["test_rows"]
 
 
 class TestExplain:

@@ -29,9 +29,10 @@ from invarmine.detect import (
 from invarmine.mining import BOUNDARY, MINED, InvariantRule, RuleSet
 from invarmine.pipeline import TrainConfig, train_ruleset
 from invarmine.predicates import Interval, Membership, PredicateCatalog, Range
-from invarmine.synth import planted_rule_data
+from invarmine.synth import planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset, make_schema
+from oracles import reports_by_row_loop, write_reports_by_json_dumps
 
 INF = float("inf")
 
@@ -367,3 +368,134 @@ class TestCategoricalCodes:
         assert [v.failed[0].columns() for v in broken] == [("U2",)]
         assert report.score >= 1.0
         assert score_dataset(ruleset, dataset)[0] == report.score
+
+
+def hand_ruleset(schema, rules):
+    return RuleSet(
+        schema=schema,
+        stats=ColumnStats(continuous={}, categorical={}),
+        theta=0.2,
+        gamma=0.0,
+        max_set_size=6,
+        catalog=PredicateCatalog([]),
+        rules=rules,
+    )
+
+
+def xy_ruleset(schema):
+    """rule 0: X >= 0 => X < 10, Y < 5, Y >= -5   (support 0.25)
+    rule 1: Y >= 0 => X < 20, Y < 8            (support 0.5)"""
+    return hand_ruleset(
+        schema,
+        [
+            InvariantRule(
+                antecedent=(Interval("X", 0.0, INF),),
+                consequent=(Interval("X", -INF, 10.0), Interval("Y", -INF, 5.0), Interval("Y", -5.0, INF)),
+                support=0.25,
+            ),
+            InvariantRule(
+                antecedent=(Interval("Y", 0.0, INF),),
+                consequent=(Interval("X", -INF, 20.0), Interval("Y", -INF, 8.0)),
+                support=0.5,
+            ),
+        ],
+    )
+
+
+# X, Y pairs that fail different subsets of the consequents of both rules; the list repeats once
+XY_ROWS = [(1, 1), (50, 1), (1, 6), (1, -9), (50, 6), (50, -9), (15, 9), (25, 2), (25, 9), (-1, 9), (-1, -9)] * 2
+
+
+class TestMatchesRowLoopReference:
+    """detect and write_reports give what the per-row loop and the
+    per-row json.dumps writer give: equal reports, byte-identical files."""
+
+    @staticmethod
+    def check(ruleset, dataset, config, tmp_path):
+        reports = detect(ruleset, dataset, config)
+        reference = reports_by_row_loop(ruleset, dataset, config)
+        assert reports == reference
+        ours, theirs = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+        write_reports(reports, ruleset, str(ours))
+        write_reports_by_json_dumps(reference, ruleset, str(theirs))
+        assert ours.read_bytes() == theirs.read_bytes()
+        return reports
+
+    @pytest.mark.parametrize(
+        "config",
+        [DetectionConfig(), DetectionConfig(phi=0.9), DetectionConfig(ignore_rules=frozenset({0, 3, 4}))],
+        ids=["default", "phi", "ignore"],
+    )
+    def test_trained_planted_table(self, tmp_path, config):
+        train, _ = planted_rule_data(400, seed=3)
+        ruleset = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3)).ruleset
+        probe, _ = planted_rule_data(200, seed=9, violation_rate=0.3)
+        reports = self.check(ruleset, probe, config, tmp_path)
+        assert any(r.violations for r in reports)
+
+    @pytest.mark.parametrize("seed, mined", [(0, 0), (3, 43)])
+    def test_trained_random_mixed_table(self, tmp_path, seed, mined):
+        train = random_mixed_dataset(300, 3, 3, seed)
+        ruleset = train_ruleset(train, TrainConfig(theta=0.1, gamma=0.3)).ruleset
+        assert sum(r.kind == MINED for r in ruleset.rules) == mined
+        reports = self.check(ruleset, random_mixed_dataset(150, 3, 3, seed + 100), DetectionConfig(), tmp_path)
+        assert any(r.violations for r in reports)
+
+    def test_rows_failing_different_consequents(self, tmp_path):
+        dataset = make_dataset(cont={"X": [x for x, _ in XY_ROWS], "Y": [y for _, y in XY_ROWS]})
+        ruleset = xy_ruleset(dataset.schema)
+        reports = self.check(ruleset, dataset, DetectionConfig(), tmp_path)
+        failed = {v.failed for r in reports for v in r.violations if v.rule_id == 0}
+        assert len(failed) == 5
+        # the second copy of each row shares its twin's RuleViolation objects
+        half = len(XY_ROWS) // 2
+        for a, b in zip(reports[:half], reports[half:]):
+            assert len(a.violations) == len(b.violations)
+            assert all(u is v for u, v in zip(a.violations, b.violations))
+
+    def test_rows_scoring_exactly_phi(self, tmp_path):
+        dataset = make_dataset(cont={"X": [x for x, _ in XY_ROWS], "Y": [y for _, y in XY_ROWS]})
+        ruleset = xy_ruleset(dataset.schema)
+        reports = self.check(ruleset, dataset, DetectionConfig(phi=0.5), tmp_path)
+        scores = {r.score for r in reports}
+        assert {0.25, 0.5, 0.75} <= scores
+        assert [r.is_anomaly for r in reports] == [r.score > 0.5 for r in reports]
+
+    def test_ignore_rules(self, tmp_path):
+        dataset = make_dataset(cont={"X": [x for x, _ in XY_ROWS], "Y": [y for _, y in XY_ROWS]})
+        ruleset = xy_ruleset(dataset.schema)
+        reports = self.check(ruleset, dataset, DetectionConfig(ignore_rules=frozenset({0})), tmp_path)
+        assert {v.rule_id for r in reports for v in r.violations} == {1}
+
+    def test_values_that_json_must_escape(self, tmp_path):
+        values = ["café", 'say "hi"', "back\\slash", "日本", "tab\there"]
+        dataset = make_dataset(cont={"X": [0.5, 3.0, 0.5, 2.0, 9.0, 9.0]}, cat={"C": values + ["café"]})
+        schema = dataset.schema
+        ruleset = hand_ruleset(
+            schema,
+            [
+                InvariantRule(
+                    antecedent=(),
+                    consequent=(Membership("C", frozenset({0, 1, 2})),),
+                    support=1.0,
+                    kind=BOUNDARY,
+                ),
+                InvariantRule(
+                    antecedent=(Interval("X", 1.0, INF),),
+                    consequent=(Membership("C", frozenset({0, 3})), Interval("X", -INF, 5.0)),
+                    support=1 / 3,
+                ),
+            ],
+        )
+        reports = self.check(ruleset, dataset, DetectionConfig(), tmp_path)
+        text = (tmp_path / "ours.jsonl").read_text(encoding="utf-8")
+        assert '\\u00e9' in text and '\\"hi\\"' in text and "back\\\\slash" in text
+        assert [len(r.violations) for r in reports] == [0, 1, 0, 1, 2, 1]
+
+    def test_no_row_violated(self, tmp_path):
+        train, _ = planted_rule_data(300, seed=5)
+        ruleset = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3)).ruleset
+        reports = self.check(ruleset, train, DetectionConfig(), tmp_path)
+        assert all(r.violations == [] and r.score == 0.0 for r in reports)
+        # every clean row owns its empty list
+        assert len({id(r.violations) for r in reports}) == len(reports)

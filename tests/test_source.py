@@ -1,4 +1,5 @@
-"""Source checks that stand in for a lint step: no import goes unused."""
+"""Source checks that stand in for a lint step: no import goes unused, and
+only the command-line module prints (the library reports through logging)."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invarmine"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +43,22 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def print_calls(source: str) -> list[str]:
+    """Lines that call print()."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+
+
+def test_the_scan_finds_a_print():
+    source = "import sys\n\ndef f(log):\n    log.print('ok')\n    print('warning', file=sys.stderr)\n"
+    assert print_calls(source) == ["line 5"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_no_print_outside_the_cli(path):
+    assert print_calls(path.read_text(encoding="utf-8")) == []
