@@ -6,11 +6,20 @@ dictionary on the schema.  Categorical values are interned in first-seen
 order, so the same schema object can ingest a training file and later a
 test file; values unseen at training time receive fresh codes and thus
 never match predicates built from training codes.
+
+load_csv has two readers that give the same arrays, schema and errors.
+The columnar reader takes the file in blocks of 256 KiB and
+parses whole columns with numpy; it reads only what it can show it
+reads exactly as csv.reader and float() do (unquoted UTF-8 without
+stray control characters) and otherwise hands the file to the row
+parser, which is the only one that raises DataError.  Neither changes
+the schema unless the whole file loads.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -231,9 +240,175 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     The header must contain every schema column (extra file columns are
     ignored).  Continuous cells must parse as finite numbers; empty cells
     are rejected.  Categorical values are interned into the schema's
-    dictionaries, extending them in place.  Errors name the offending
-    zero-based data row and column.
+    dictionaries in first-seen order, extending them in place, and only
+    once the whole file has parsed: on error the schema is unchanged.
+    Errors name the offending zero-based data row and column.
+
+    The dialect is csv.reader's default (comma delimiter, double-quote
+    quoting, LF, CRLF or CR line ends) over UTF-8.  A file with no quote,
+    no control character but tab, LF and the CR of a CRLF, and no cell
+    the row parser would reject is read column by column; any other file
+    goes through the row parser, with the same result or error.
     """
+    dataset = _load_columns(path, schema)
+    return dataset if dataset is not None else _load_rows(path, schema)
+
+
+# The columnar reader's unit of work: a block is this many bytes plus the
+# rest of the line it ends in, and no temporary grows much past a few
+# times that.  Larger blocks parse no faster; they leave more of the heap
+# resident after the load, since glibc serves every allocation below the
+# largest buffer freed so far from the heap instead of a fresh mapping.
+_BLOCK_BYTES = 1 << 18
+
+# Bytes that make the columnar reader give up: a quote starts csv quoting;
+# NUL is dropped from the end of numpy byte strings; \x1c-\x1f are
+# whitespace to loadtxt but not to float() in an ASCII cell.  A CR is
+# allowed as the first half of a CRLF only, which _cells checks.
+_UNPLAIN = bytes(range(0x20)).translate(None, b"\t\n\r") + b'"'
+
+
+def _plain(chunk: bytes) -> bool:
+    """Whether chunk is UTF-8 and free of the bytes in _UNPLAIN."""
+    if len(chunk.translate(None, _UNPLAIN)) != len(chunk):
+        return False
+    try:
+        chunk.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _cells(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Start offsets and byte lengths of every cell of LF- or CRLF-ended
+    lines, as (lines, width) arrays.  None unless every line has exactly
+    width cells, no cell is empty (a blank line, which loadtxt would skip,
+    is an empty cell), every CR ends a line before its LF and no cell
+    outgrows csv's field limit."""
+    newline = buf == ord("\n")
+    ends = np.flatnonzero(newline | (buf == ord(",")))
+    lines = len(ends) // width
+    if len(ends) != lines * width:
+        return None
+    ends = ends.reshape(lines, width)
+    if np.count_nonzero(newline) != lines or not newline[ends[:, -1]].all():
+        return None
+    starts = np.empty_like(ends)
+    flat = starts.reshape(-1)
+    flat[0] = 0
+    np.add(ends.reshape(-1)[:-1], 1, out=flat[1:])
+    lengths = ends - starts
+    crlf = buf[ends[:, -1] - 1] == ord("\r")
+    lengths[:, -1] -= crlf
+    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf):
+        return None
+    if not lengths.all() or lengths.max() > csv.field_size_limit():
+        return None
+    return starts, lengths
+
+
+def _first_seen(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seen: dict[bytes, int]) -> np.ndarray:
+    """Each cell's rank in `seen`, which maps every value met so far to its
+    rank of first appearance and is extended in cell order.
+
+    Cells are compared as fixed-width byte strings, gathered through an
+    index matrix of at most _BLOCK_BYTES per np.unique call."""
+    width = int(lengths.max())
+    offsets = np.arange(width)
+    step = max(1, _BLOCK_BYTES // (8 * width))
+    out = []
+    for lo in range(0, len(starts), step):
+        at = starts[lo : lo + step, None] + offsets
+        np.minimum(at, len(buf) - 1, out=at)
+        matrix = buf[at]
+        matrix[offsets >= lengths[lo : lo + step, None]] = 0
+        keys = matrix.view(f"S{width}").ravel()
+        values, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        values = values.tolist()
+        rank = np.empty(len(values), dtype=np.int64)
+        for u in np.argsort(first).tolist():
+            rank[u] = seen.setdefault(values[u], len(seen))
+        out.append(rank[inverse.ravel()])
+    return np.concatenate(out)
+
+
+def _load_columns(path: str, schema: Schema) -> Dataset | None:
+    """load_csv's columnar path, or None when it cannot show that it reads
+    the file exactly as _load_rows does; None leaves the schema untouched.
+
+    The file is read in blocks of about _BLOCK_BYTES that end on a line
+    boundary.  Cells are located from the comma and newline offsets,
+    continuous columns parsed by np.loadtxt, and categorical values
+    ranked by first appearance with np.unique; the schema interns them
+    only after the last block has passed.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n") or not _plain(line):
+            return None
+        header = line.decode("utf-8").removesuffix("\n").removesuffix("\r")
+        names = header.split(",")
+        position = {name: pos for pos, name in enumerate(names)}
+        if "\r" in header or len(position) != len(names) or not set(schema.names) <= set(names):
+            return None
+        if max(map(len, names)) > csv.field_size_limit():
+            return None
+        width = len(names)
+        cont = [c.name for c in schema.columns if c.kind == CONTINUOUS]
+        cat = [c.name for c in schema.columns if c.kind == CATEGORICAL]
+        usecols = [position[n] for n in cont]
+        parts: dict[str, list[np.ndarray]] = {n: [] for n in schema.names}
+        seen: dict[str, dict[bytes, int]] = {n: {} for n in cat}
+        rows = 0
+        while block := fh.read(_BLOCK_BYTES):
+            block += fh.readline()
+            if not block.endswith(b"\n"):
+                block += b"\n"
+            buf = np.frombuffer(block, dtype=np.uint8)
+            cells = _cells(buf, width) if _plain(block) else None
+            if cells is None:
+                return None
+            starts, lengths = cells
+            rows += len(starts)
+            if cont:
+                # latin-1 makes each byte one character: an ASCII cell reads
+                # as in UTF-8, and any other cell holds a UTF-8 lead byte that
+                # latin-1 makes a letter, which loadtxt rejects
+                try:
+                    values = np.loadtxt(
+                        io.BytesIO(block),
+                        dtype=np.float64,
+                        delimiter=",",
+                        comments=None,
+                        quotechar=None,
+                        usecols=usecols,
+                        ndmin=2,
+                        encoding="latin-1",
+                    )
+                except ValueError:
+                    return None
+                if not np.isfinite(values).all():
+                    return None
+                for name, column in zip(cont, values.T):
+                    parts[name].append(column.copy())
+            for name in cat:
+                pos = position[name]
+                parts[name].append(_first_seen(buf, starts[:, pos], lengths[:, pos], seen[name]))
+    if not rows:
+        return None
+
+    arrays: dict[str, np.ndarray] = {}
+    for name in cont:
+        arrays[name] = np.concatenate(parts.pop(name))
+    for name in cat:
+        codes = [schema.intern(name, value.decode("utf-8")) for value in seen[name]]
+        arrays[name] = np.asarray(codes, dtype=np.int64)[np.concatenate(parts.pop(name))]
+    return Dataset(schema, arrays)
+
+
+def _load_rows(path: str, schema: Schema) -> Dataset:
+    """load_csv's row parser: csv.reader and float() cell by cell.  It
+    takes any file and words every DataError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -253,6 +428,8 @@ def load_csv(path: str, schema: Schema) -> Dataset:
         cat_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CATEGORICAL]
         cont_data: dict[str, list[float]] = {n: [] for n, _ in cont_cols}
         cat_data: dict[str, list[int]] = {n: [] for n, _ in cat_cols}
+        # values the schema lacks, with the codes intern() will give them
+        unseen: dict[str, dict[str, int]] = {n: {} for n, _ in cat_cols}
 
         width = max(positions[n] for n in schema.names) + 1
         for i, record in enumerate(reader):
@@ -273,7 +450,11 @@ def load_csv(path: str, schema: Schema) -> Dataset:
                 cell = record[pos]
                 if cell == "":
                     raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-                cat_data[name].append(schema.intern(name, cell))
+                code = schema.code_for(name, cell)
+                if code is None:
+                    new = unseen[name]
+                    code = new.setdefault(cell, len(schema.column(name).values) + len(new))
+                cat_data[name].append(code)
 
     arrays: dict[str, np.ndarray] = {}
     for name, _ in cont_cols:
@@ -282,6 +463,9 @@ def load_csv(path: str, schema: Schema) -> Dataset:
         arrays[name] = np.asarray(cat_data[name], dtype=np.int64)
     if not arrays or len(next(iter(arrays.values()))) == 0:
         raise DataError(f"{path}: no data rows")
+    for name, new in unseen.items():
+        for value in new:
+            schema.intern(name, value)
     return Dataset(schema, arrays)
 
 

@@ -15,6 +15,7 @@ and the report writer renders each distinct violation once.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -171,10 +172,18 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> list[
             else:
                 found.append(shared[k])
     phi = config.phi
-    return [
-        AnomalyReport(row=i, score=s, is_anomaly=s > phi, violations=found or [])
-        for i, (s, found) in enumerate(zip(scores.tolist(), per_row))
-    ]
+    # two new container objects per row and none freed: the collector
+    # would run again and again over the growing list and find nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return [
+            AnomalyReport(row=i, score=s, is_anomaly=s > phi, violations=found or [])
+            for i, (s, found) in enumerate(zip(scores.tolist(), per_row))
+        ]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .data import Dataset, compute_column_stats
 from .mining import (
     MiningConfig,
+    MiningError,
     RuleSet,
     boundary_rules,
     filter_closed,
@@ -35,10 +36,18 @@ from .tree import (
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Mining hyperparameters (checked by MiningConfig when training
+    starts) and the tree-fitting thread count: None or at least 1."""
+
     theta: float
     gamma: float
     max_set_size: int | None = 6
     workers: int | None = None
+
+    def __post_init__(self) -> None:
+        w = self.workers
+        if w is not None and (isinstance(w, bool) or not isinstance(w, int) or w < 1):
+            raise MiningError(f"workers must be None or an integer >= 1, got {w!r}")
 
 
 @dataclass

@@ -313,3 +313,65 @@ def write_reports_by_json_dumps(reports, ruleset, path):
             }
             fh.write(json.dumps(payload))
             fh.write("\n")
+
+
+def load_csv_by_rows(path, schema):
+    """load_csv() as one csv.reader pass with float() and intern() per cell.
+
+    This is the row parser as it stood before the columnar reader, kept
+    whole: like it, it interns into the schema as it goes, so a file that
+    fails part-way leaves the values met before the error behind."""
+    import csv
+    import math
+
+    from invarmine.data import CATEGORICAL, CONTINUOUS, DataError, Dataset
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        positions = {}
+        for pos, name in enumerate(header):
+            if name in positions and name in schema.names:
+                raise DataError(f"{path}: duplicate header column {name!r}")
+            positions.setdefault(name, pos)
+        for name in schema.names:
+            if name not in positions:
+                raise DataError(f"{path}: header omits schema column {name!r}")
+
+        cont_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CONTINUOUS]
+        cat_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CATEGORICAL]
+        cont_data = {n: [] for n, _ in cont_cols}
+        cat_data = {n: [] for n, _ in cat_cols}
+
+        width = max(positions[n] for n in schema.names) + 1
+        for i, record in enumerate(reader):
+            if len(record) < width:
+                raise DataError(f"{path}: row {i}: expected at least {width} fields, got {len(record)}")
+            for name, pos in cont_cols:
+                cell = record[pos]
+                if cell == "":
+                    raise DataError(f"{path}: row {i}, column {name!r}: missing value")
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
+                cont_data[name].append(value)
+            for name, pos in cat_cols:
+                cell = record[pos]
+                if cell == "":
+                    raise DataError(f"{path}: row {i}, column {name!r}: missing value")
+                cat_data[name].append(schema.intern(name, cell))
+
+    arrays = {}
+    for name, _ in cont_cols:
+        arrays[name] = np.asarray(cont_data[name], dtype=np.float64)
+    for name, _ in cat_cols:
+        arrays[name] = np.asarray(cat_data[name], dtype=np.int64)
+    if not arrays or len(next(iter(arrays.values()))) == 0:
+        raise DataError(f"{path}: no data rows")
+    return Dataset(schema, arrays)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestTrain:
                     "--schema", workdir["schema"],
                     "--theta", "1.5",
                     "--gamma", "0.0",
+                    "--out", "unused.json",
+                ]
+            )
+        assert exc.value.code == 2
+
+    def test_zero_workers_is_a_usage_error(self, workdir):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "train",
+                    "--data", workdir["train"],
+                    "--schema", workdir["schema"],
+                    "--theta", "0.2",
+                    "--gamma", "0.3",
+                    "--workers", "0",
                     "--out", "unused.json",
                 ]
             )
@@ -229,29 +245,66 @@ def _parent(payload, path):
 JSON_VALUES = [None, True, False, 0, 7, -1, 0.5, -2.5, "", "x", [], [0], {}, {"a": 1}]
 
 
-@st.composite
-def mutated_rule_files(draw, payload):
-    """The payload with one random key deleted, one value swapped for a JSON
-    value of another type, or one rule's predicate index out of range."""
+def _delete_or_retype(draw, payload, how):
+    """The payload with one random key deleted or one value swapped for a
+    JSON value of another type."""
     paths = list(_json_paths(payload))
-    how = draw(st.sampled_from(["delete", "retype", "index"]))
     if how == "delete":
         path = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
         del _parent(payload, path)[path[-1]]
-    elif how == "retype":
+    else:
         path = draw(st.sampled_from(paths))
         old = _parent(payload, path)[path[-1]] if path else payload
         new = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
         if not path:
             return new
         _parent(payload, path)[path[-1]] = new
-    else:
-        n = len(payload["predicates"])
-        sides = [(i, side) for i, r in enumerate(payload["rules"]) for side in ("antecedent", "consequent") if r[side]]
-        i, side = draw(st.sampled_from(sides))
-        j = draw(st.integers(0, len(payload["rules"][i][side]) - 1))
-        payload["rules"][i][side][j] = draw(st.sampled_from([n, n + 3, -1, -n - 1]))
     return payload
+
+
+@st.composite
+def mutated_rule_files(draw, payload):
+    """The payload with one random key deleted, one value swapped for a JSON
+    value of another type, or one rule's predicate index out of range."""
+    how = draw(st.sampled_from(["delete", "retype", "index"]))
+    if how != "index":
+        return _delete_or_retype(draw, payload, how)
+    n = len(payload["predicates"])
+    sides = [(i, side) for i, r in enumerate(payload["rules"]) for side in ("antecedent", "consequent") if r[side]]
+    i, side = draw(st.sampled_from(sides))
+    j = draw(st.integers(0, len(payload["rules"][i][side]) - 1))
+    payload["rules"][i][side][j] = draw(st.sampled_from([n, n + 3, -1, -n - 1]))
+    return payload
+
+
+@st.composite
+def mutated_schemas(draw, payload):
+    return _delete_or_retype(draw, payload, draw(st.sampled_from(["delete", "retype"])))
+
+
+@st.composite
+def mutated_csvs(draw, content):
+    """A CSV's bytes with one cell deleted, one number swapped for nan or
+    1_0, a blank line inserted, or one quote, CR, NUL or non-UTF-8 byte
+    inserted anywhere."""
+    lines = content.split(b"\n")
+    how = draw(st.sampled_from(["delete a cell", "swap a number", "blank line", "insert a byte"]))
+    if how == "insert a byte":
+        at = draw(st.integers(0, len(content)))
+        return content[:at] + draw(st.sampled_from([b'"', b"\r", b"\x00", b"\xff"])) + content[at:]
+    i = draw(st.integers(1, len(lines) - 2))
+    if how == "blank line":
+        lines.insert(i, draw(st.sampled_from([b"", b"\r"])))
+        return b"\n".join(lines)
+    cells = lines[i].removesuffix(b"\r").split(b",")
+    j = draw(st.integers(0, len(cells) - 1))
+    if how == "delete a cell":
+        del cells[j]
+    else:
+        j = draw(st.sampled_from([k for k, cell in enumerate(cells) if cell[:1].isdigit()]))
+        cells[j] = draw(st.sampled_from([b"nan", b"1_0"]))
+    lines[i] = b",".join(cells) + b"\r"
+    return b"\n".join(lines)
 
 
 @given(data=st.data())
@@ -266,6 +319,40 @@ def test_mutated_rule_file_keeps_the_exit_code_contract(workdir, data):
     assert code in {0, 1, 3}
     if code == 1:
         assert len(out.read_text().splitlines()) == workdir["test_rows"]
+
+
+@given(data=st.data())
+def test_mutated_data_and_schema_keep_the_exit_code_contract(workdir, data):
+    root = workdir["root"]
+    command = data.draw(st.sampled_from(["train", "score", "explain"]))
+    csv_path = root / "mutated.csv"
+    schema_path = root / "mutated_schema.json"
+    out = root / "mutated.out"
+    out.unlink(missing_ok=True)
+    with open(workdir["schema"]) as fh:
+        schema = json.load(fh)
+    original = Path(workdir["train" if command == "train" else "test"]).read_bytes()
+    if command == "train" and data.draw(st.booleans()):
+        schema = data.draw(mutated_schemas(schema))
+        csv_path.write_bytes(original)
+    else:
+        csv_path.write_bytes(data.draw(mutated_csvs(original)))
+    schema_path.write_text(json.dumps(schema))
+    args = {
+        "train": ["train", "--schema", str(schema_path), "--theta", "0.2", "--gamma", "0.3",
+                  "--max-set-size", "4", "--out", str(out)],
+        "score": ["score", "--rules", workdir["rules"], "--out", str(out)],
+        "explain": ["explain", "--rules", workdir["rules"], "--row", str(workdir["labeled_anomalies"][0])],
+    }[command]
+    try:
+        code = cli.main(args + ["--data", str(csv_path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in {0, 1, 2, 3}
+    if code == 1:
+        assert command == "score"
+        rows = load_csv(str(csv_path), load_ruleset(workdir["rules"]).schema.copy()).row_count
+        assert len(out.read_text().splitlines()) == rows
 
 
 class TestExplain:

@@ -1,10 +1,14 @@
 """Schema handling, CSV ingestion, column statistics, and support."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from invarmine import data
 from invarmine.data import (
     CATEGORICAL,
     CONTINUOUS,
@@ -22,8 +26,10 @@ from invarmine.data import (
     write_csv,
 )
 from invarmine.predicates import CategoricalEquals, Interval
+from invarmine.synth import planted_rule_data
 
 from helpers import make_dataset, make_schema, write_text
+from oracles import load_csv_by_rows
 
 
 class TestSchema:
@@ -162,6 +168,203 @@ class TestLoadCsv:
         again = load_csv(path, dataset.schema.copy())
         assert again.column("X1").tolist() == dataset.column("X1").tolist()
         assert again.column("U1").tolist() == dataset.column("U1").tolist()
+
+    def test_failed_load_leaves_the_schema_unchanged(self, tmp_path):
+        schema = make_schema(cont=("X1",), cat=("U1",))
+        schema.intern("U1", "a")
+        path = write_text(tmp_path / "d.csv", "X1,U1\n1.0,z\nabc,q\n")
+        with pytest.raises(DataError, match="row 1, column 'X1': cannot parse 'abc'"):
+            load_csv(path, schema)
+        assert schema.column("U1").values == ["a"]
+        assert schema.code_for("U1", "z") is None
+
+
+def _contents(dataset):
+    """Each column as (dtype, bytes), and the schema as a dict."""
+    columns = {n: (dataset.column(n).dtype, dataset.column(n).tobytes()) for n in dataset.schema.names}
+    return columns, dataset.schema.to_dict()
+
+
+def _outcome(loader, path, schema):
+    """_contents of what the loader reads, or the exception as (type,
+    message, schema dict); the loader gets a private copy of the schema."""
+    schema = schema.copy()
+    try:
+        return _contents(loader(path, schema))
+    except Exception as exc:  # the oracle's exceptions are compared, not judged
+        return type(exc), str(exc), schema.to_dict()
+
+
+def assert_reads_like_the_row_parser(path, schema):
+    """load_csv agrees with the frozen row parser: equal arrays and schema,
+    or the same exception with the schema untouched.  Returns whether the
+    columnar path read the file."""
+    expected = _outcome(load_csv_by_rows, path, schema)
+    got = _outcome(load_csv, path, schema)
+    if len(expected) == 3:
+        assert got == (expected[0], expected[1], schema.to_dict())
+    else:
+        assert got == expected
+    untouched = schema.copy()
+    columnar = data._load_columns(path, untouched)
+    if columnar is None:
+        assert untouched == schema
+        return False
+    assert _contents(columnar) == expected
+    return True
+
+
+def _schema_with_values():
+    schema = make_schema(cont=("X1", "X2"), cat=("U1", "U2"))
+    schema.intern("U1", "lo")
+    return schema
+
+
+# files both readers must agree on; True marks those the columnar path reads
+LOADER_CASES = {
+    "LF": (b"X1,U1,X2,U2\n1.5,a,2,b\n-0,lo,3e2,b\n", True),
+    "CRLF": (b"X1,U1,X2,U2\r\n1.5,a,2,b\r\n2.5,b,3,c\r\n", True),
+    "no final newline": (b"X1,U1,X2,U2\n1.5,a,2,b\n2.5,b,3,c", True),
+    "mixed line ends": (b"X1,U1,X2,U2\r\n1.5,a,2,b\n2.5,b,3,c\r\n", True),
+    "padded numbers": (b"X1,U1,X2,U2\n 1.5,a,\t2,b\n3,a,4 ,b\n", True),
+    "NBSP-padded number": (b"X1,U1,X2,U2\n1,a,\xc2\xa02,b\n", False),
+    "non-ASCII values": ("X1,U1,X2,U2\n1,\u00e9,2,\u65e5\u672c\n1,\u00e9,2, a\n".encode(), True),
+    "extra columns": (b"Z,X1,U1,X2,U2,W\nq,1,a,2,b,r\n", True),
+    "schema columns reordered": (b"U2,X2,U1,X1\nb,2,a,1\n", True),
+    "quoted cell with comma": (b'X1,U1,X2,U2\n1,"a,b",2,c\n', False),
+    "quote inside a cell": (b'X1,U1,X2,U2\n1,a"b,2,c\n', False),
+    "blank line": (b"X1,U1,X2,U2\n1,a,2,b\n\n2,a,3,b\n", False),
+    "blank CRLF line": (b"X1,U1,X2,U2\r\n1,a,2,b\r\n\r\n", False),
+    "short row": (b"X1,U1,X2,U2\n1,a,2\n", False),
+    "long row": (b"X1,U1,X2,U2\n1,a,2,b,c\n", False),
+    "short row then long row": (b"X1,U1,X2,U2\n1,a\n2,b,1,a,2,b\n", False),
+    "empty categorical cell": (b"X1,U1,X2,U2\n1,,2,b\n", False),
+    "empty extra cell": (b"X1,U1,X2,U2,Z\n1,a,2,b,\n", False),
+    "underscore": (b"X1,U1,X2,U2\n1_0,a,2,b\n", False),
+    "Arabic-Indic digit": ("X1,U1,X2,U2\n\u0661,a,2,b\n".encode(), False),
+    "full-width digit": ("X1,U1,X2,U2\n\uff11,a,2,b\n".encode(), False),
+    "nan": (b"X1,U1,X2,U2\nnan,a,2,b\n", False),
+    "inf": (b"X1,U1,X2,U2\n1,a,-inf,b\n", False),
+    "overflow": (b"X1,U1,X2,U2\n1e400,a,2,b\n", False),
+    "not a number": (b"X1,U1,X2,U2\n1,a,abc,b\n", False),
+    "file separator padding": (b"X1,U1,X2,U2\n1\x1c,a,2,b\n", False),
+    "NUL": (b"X1,U1,X2,U2\n1,a\x00,2,b\n", False),
+    "lone CR": (b"X1,U1,X2,U2\n1,a\r2,b\n", False),
+    "CR before a comma": (b"X1,U1,X2,U2\n1,a\r,2,b\n", False),
+    "invalid UTF-8": (b"X1,U1,X2,U2\n1,\xff,2,b\n", False),
+    "invalid UTF-8 in an extra column": (b"X1,U1,X2,U2,Z\n1,a,2,b,\xc3\n", False),
+    "duplicate schema header": (b"X1,U1,X2,U2,X1\n1,a,2,b,3\n", False),
+    "duplicate extra header": (b"X1,U1,X2,U2,Z,Z\n1,a,2,b,3,4\n", False),
+    "header omits a column": (b"X1,U1,X2\n1,a,2\n", False),
+    "header only": (b"X1,U1,X2,U2\n", False),
+    "empty file": (b"", False),
+    "byte order mark": (b"\xef\xbb\xbfX1,U1,X2,U2\n1,a,2,b\n", False),
+    "only CR line ends": (b"X1,U1,X2,U2\r1,a,2,b\r", False),
+    "bad value after a good block": (b"X1,U1,X2,U2\n1,a,2,b\n" * 40 + b"1,z,x,b\n", False),
+}
+
+
+# without a continuous column no loadtxt call sees the file
+CATEGORICAL_CASES = {
+    "CRLF": (b"U1,U2\r\na,b\r\nc,d\r\n", True),
+    "lone CR": (b"U1,U2\na\rb,c\n", False),
+    "trailing NUL": (b"U1,U2\na\x00,b\n", False),
+    "blank line": (b"U1,U2\na,b\n\nc,d\n", False),
+}
+
+
+def _categorical_schema():
+    schema = make_schema(cat=("U1", "U2"))
+    schema.intern("U2", "d")
+    return schema
+
+
+@pytest.mark.parametrize("block", [None, 16], ids=["one block", "16-byte blocks"])
+@pytest.mark.parametrize(
+    "content,columnar,schema",
+    [(*case, _schema_with_values) for case in LOADER_CASES.values()]
+    + [(*case, _categorical_schema) for case in CATEGORICAL_CASES.values()],
+    ids=list(LOADER_CASES) + [f"categorical only, {name}" for name in CATEGORICAL_CASES],
+)
+def test_loader_case_reads_like_the_row_parser(tmp_path, content, columnar, schema, block):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
+        assert assert_reads_like_the_row_parser(str(path), schema()) == columnar
+
+
+def test_values_first_seen_in_a_later_block(tmp_path):
+    rng = np.random.default_rng(5)
+    pool = ["lo", "hi", "\u00e9t\u00e9", "a", "zz" * 9]
+    lines = ["X1,U1,X2,U2"]
+    for i in range(300):
+        # the pool widens as the file goes on, so later blocks bring new values
+        u1 = pool[int(rng.integers(1 + min(i // 60, 4)))]
+        lines.append(f"{rng.normal()!r},{u1},{i},{pool[int(rng.integers(5))]}")
+    path = tmp_path / "d.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    for block in (1, 7, 64, 1 << 20):
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            assert assert_reads_like_the_row_parser(str(path), _schema_with_values())
+
+
+CONT_CELLS = ["0", "1.5", "-2.25", "1e5", "-0", ".5", " 3", "4 ", "\u00a05", "\t6", "1_0", "\u0661",
+              "\uff11", "nan", "inf", "-inf", "1e400", "abc", "", "0x10", "1.5.2", '"7"', '"8,5"']
+CAT_CELLS = ["a", "b", "lo", "hi", "\u00e9", "\u65e5\u672c", " a", "a b", "", '"c,d"', 'x"y', "1"]
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of a small CSV over _schema_with_values()'s columns: mostly
+    well formed, with row-shape, line-end and byte-level damage mixed in."""
+    names = draw(st.permutations(["X1", "U1", "X2", "U2"]))
+    header = list(names) + draw(st.lists(st.sampled_from(["Z", "X1", "U1", ""]), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(names)))
+    numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(CONT_CELLS))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(numbers if name.startswith("X") else st.sampled_from(CAT_CELLS)) for name in header]
+        shape = draw(st.sampled_from(["keep"] * 6 + ["short", "long", "blank"]))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row.append(draw(st.sampled_from(CAT_CELLS)))
+        lines.append("" if shape == "blank" else ",".join(row))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")
+    content = text.encode("utf-8")
+    for damage in draw(st.lists(st.sampled_from([b"\x00", b"\r", b"\xff", b"\x1d", b'"', b"\n"]), max_size=1)):
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + damage + content[at:]
+    return content
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["one block", "3-byte blocks"])
+@given(content=csv_files(), schema=st.sampled_from([_schema_with_values, _categorical_schema]))
+def test_generated_files_read_like_the_row_parser(tmp_path_factory, block, content, schema):
+    path = tmp_path_factory.mktemp("generated") / "d.csv"
+    path.write_bytes(content)
+    with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
+        assert_reads_like_the_row_parser(str(path), schema())
+
+
+def test_columnar_peak_memory_is_at_most_the_row_parsers(tmp_path):
+    dataset, _ = planted_rule_data(100_000, seed=0)
+    path = str(tmp_path / "tall.csv")
+    write_csv(dataset, path)
+    peaks = []
+    for loader in (load_csv_by_rows, load_csv):
+        tracemalloc.start()
+        try:
+            loader(path, dataset.schema.copy())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert data._load_columns(path, dataset.schema.copy()) is not None
+    assert peaks[1] <= peaks[0]
 
 
 class TestColumnStats:

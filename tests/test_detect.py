@@ -1,5 +1,6 @@
 """Scoring, threshold semantics, rule deactivation, and explanations."""
 
+import gc
 import json
 
 import numpy as np
@@ -228,6 +229,16 @@ class TestDetectReports:
         )
         (report,) = detect(ruleset, x_dataset([50.0]), DetectionConfig())
         assert report.violations[0].failed == (p_low,)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_detect_leaves_the_collector_as_it_found_it(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            detect(envelope_ruleset(), x_dataset([1.0, 50.0]), DetectionConfig())
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestExplain:

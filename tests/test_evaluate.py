@@ -208,6 +208,12 @@ class TestSweep:
         assert bad.rule_count is None and bad.auc is None
         assert good.error is None and good.rule_count > 0
 
+    def test_zero_workers_fails_every_cell(self):
+        train, test, labels = self.build_data()
+        result = sweep(train, test, labels, [0.2, 0.3], [0.0], max_set_size=4, workers=0)
+        assert [c.error for c in result.cells] == ["workers must be None or an integer >= 1, got 0"] * 2
+        assert all(c.rule_count is None for c in result.cells)
+
     def test_sweep_is_deterministic(self):
         train, test, labels = self.build_data()
         first = sweep(train, test, labels, [0.25], [0.0, 0.5], max_set_size=4)

@@ -7,11 +7,22 @@ import pytest
 
 from invarmine.data import CATEGORICAL, CONTINUOUS
 from invarmine.detect import score_dataset
-from invarmine.mining import BOUNDARY, save_ruleset
+from invarmine.mining import BOUNDARY, MiningError, save_ruleset
 from invarmine.pipeline import TrainConfig, train_ruleset
 from invarmine.synth import X3_HIGH, planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("workers", [0, -3, True, False, 1.5, "2"])
+    def test_bad_worker_count_is_rejected(self, workers):
+        with pytest.raises(MiningError, match="workers must be None or an integer >= 1"):
+            TrainConfig(0.1, 0.3, workers=workers)
+
+    @pytest.mark.parametrize("workers", [None, 1, 4])
+    def test_good_worker_count_is_kept(self, workers):
+        assert TrainConfig(0.1, 0.3, workers=workers).workers == workers
 
 
 class TestTraining:
