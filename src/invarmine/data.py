@@ -181,6 +181,21 @@ class DataPoint:
             raise DataError(f"unknown column {name!r}") from None
 
 
+def _provisional_code(schema: Schema, name: str, value: str, new: dict[str, int]) -> int:
+    """value's code in column name, or the code intern() will give it once
+    the caller has checked everything; new collects those values in order."""
+    code = schema.code_for(name, value)
+    if code is None:
+        code = new.setdefault(value, len(schema.column(name).values) + len(new))
+    return code
+
+
+def _intern_unseen(schema: Schema, unseen: dict[str, dict[str, int]]) -> None:
+    for name, new in unseen.items():
+        for value in new:
+            schema.intern(name, value)
+
+
 class Dataset:
     """A fixed table over a schema; columns are numpy arrays."""
 
@@ -196,8 +211,13 @@ class Dataset:
 
     @classmethod
     def from_columns(cls, schema: Schema, columns: dict[str, list]) -> "Dataset":
-        """Build a dataset from python lists; categorical entries are value strings."""
+        """Build a dataset from python lists; categorical entries are value strings.
+
+        New categorical values enter the schema only once every column
+        has been checked, so a failed build leaves the schema unchanged.
+        """
         arrays: dict[str, np.ndarray] = {}
+        unseen: dict[str, dict[str, int]] = {}
         for col in schema.columns:
             raw = columns[col.name]
             if col.kind == CONTINUOUS:
@@ -206,9 +226,19 @@ class Dataset:
                     raise DataError(f"column {col.name!r}: non-finite value")
                 arrays[col.name] = arr
             else:
-                codes = np.asarray([schema.intern(col.name, str(v)) for v in raw], dtype=np.int64)
-                arrays[col.name] = codes
-        return cls(schema, arrays)
+                new = unseen[col.name] = {}
+                code_of: dict[str, int] = {}
+                codes = []
+                for v in raw:
+                    value = str(v)
+                    code = code_of.get(value)
+                    if code is None:
+                        code = code_of[value] = _provisional_code(schema, col.name, value, new)
+                    codes.append(code)
+                arrays[col.name] = np.asarray(codes, dtype=np.int64)
+        dataset = cls(schema, arrays)
+        _intern_unseen(schema, unseen)
+        return dataset
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -415,6 +445,8 @@ def _load_rows(path: str, schema: Schema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except csv.Error as exc:  # not a ValueError: a cell over csv.field_size_limit(), say
+            raise DataError(f"{path}: header: {exc}") from None
         positions: dict[str, int] = {}
         for pos, name in enumerate(header):
             if name in positions and name in schema.names:
@@ -432,29 +464,29 @@ def _load_rows(path: str, schema: Schema) -> Dataset:
         unseen: dict[str, dict[str, int]] = {n: {} for n, _ in cat_cols}
 
         width = max(positions[n] for n in schema.names) + 1
-        for i, record in enumerate(reader):
-            if len(record) < width:
-                raise DataError(f"{path}: row {i}: expected at least {width} fields, got {len(record)}")
-            for name, pos in cont_cols:
-                cell = record[pos]
-                if cell == "":
-                    raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
-                cont_data[name].append(value)
-            for name, pos in cat_cols:
-                cell = record[pos]
-                if cell == "":
-                    raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-                code = schema.code_for(name, cell)
-                if code is None:
-                    new = unseen[name]
-                    code = new.setdefault(cell, len(schema.column(name).values) + len(new))
-                cat_data[name].append(code)
+        i = -1
+        try:
+            for i, record in enumerate(reader):
+                if len(record) < width:
+                    raise DataError(f"{path}: row {i}: expected at least {width} fields, got {len(record)}")
+                for name, pos in cont_cols:
+                    cell = record[pos]
+                    if cell == "":
+                        raise DataError(f"{path}: row {i}, column {name!r}: missing value")
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
+                    cont_data[name].append(value)
+                for name, pos in cat_cols:
+                    cell = record[pos]
+                    if cell == "":
+                        raise DataError(f"{path}: row {i}, column {name!r}: missing value")
+                    cat_data[name].append(_provisional_code(schema, name, cell, unseen[name]))
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {i + 1}: {exc}") from None
 
     arrays: dict[str, np.ndarray] = {}
     for name, _ in cont_cols:
@@ -463,9 +495,7 @@ def _load_rows(path: str, schema: Schema) -> Dataset:
         arrays[name] = np.asarray(cat_data[name], dtype=np.int64)
     if not arrays or len(next(iter(arrays.values()))) == 0:
         raise DataError(f"{path}: no data rows")
-    for name, new in unseen.items():
-        for value in new:
-            schema.intern(name, value)
+    _intern_unseen(schema, unseen)
     return Dataset(schema, arrays)
 
 

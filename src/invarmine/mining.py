@@ -10,7 +10,10 @@ from rare predicates must cover a larger share of their members' rows
 than theta alone would demand.  This condition is not downward closed
 (a set can be frequent while one of its subsets is not), but
 sigma(S) > theta alone is, which is what the depth-first enumeration
-prunes on.
+prunes on.  Each predicate's rows are packed once into a uint64 bit
+row; a set's children are counted together with one AND and popcount
+over the rows of its candidate list, the later siblings that passed
+theta, which is exact because sigma(S + {i, j}) <= sigma(S + {j}).
 
 Frequent sets are then filtered to closed sets (no frequent superset
 within the mined collection has equal support), and every closed set
@@ -90,51 +93,100 @@ class FrequentSet:
     closed: bool = False
 
 
-def _tidsets(dataset: Dataset, catalog: PredicateCatalog) -> list[int]:
-    """Row sets as big integers, one bit per row."""
-    out = []
-    for p in catalog.predicates:
-        mask = np.ascontiguousarray(p.mask(dataset))
-        out.append(int.from_bytes(np.packbits(mask).tobytes(), "big"))
-    return out
+# Candidate checks one mine_frequent_sets call may make (a check is one
+# popcounted row of a node's intersection matrix, about 3 us on a 20k-row
+# table).  The benchmark training tables need at most 79k (noisy), so the
+# cap is over 100x that.  It is a bound, not a tuning knob: it turns a
+# theta or max_set_size loose enough to enumerate for hours into an error
+# naming both.
+_MAX_CANDIDATE_CHECKS = 10_000_000
+
+
+def _tidsets(dataset: Dataset, catalog: PredicateCatalog) -> np.ndarray:
+    """Row sets as one packed bit matrix, one row per predicate.
+
+    Row i is np.packbits of predicate i's mask, zero-padded to whole
+    8-byte words and viewed as uint64, so the shape is (m, ceil(n/64)).
+    Only ANDs and popcounts are taken over it, so the bit order inside
+    a word does not matter and the padding bits are always 0.
+    """
+    words = -(-dataset.row_count // 64)
+    packed = np.zeros((len(catalog), 8 * words), dtype=np.uint8)
+    for i, p in enumerate(catalog.predicates):
+        bits = np.packbits(p.mask(dataset))
+        packed[i, : bits.size] = bits
+    return packed.view(np.uint64)
 
 
 def mine_frequent_sets(
-    dataset: Dataset, catalog: PredicateCatalog, config: MiningConfig
+    dataset: Dataset,
+    catalog: PredicateCatalog,
+    config: MiningConfig,
+    *,
+    tidsets: np.ndarray | None = None,
 ) -> list[FrequentSet]:
     """Enumerate all frequent predicate sets of size 2..max_set_size.
 
-    Depth-first over ascending catalog indices; a branch is cut as soon
-    as its running intersection fails sigma > theta, which is sound
-    because that part of the condition is anti-monotone.  The gamma
-    term is checked per set without pruning on it.  Output is sorted by
-    size, then lexicographically by indices.
+    Depth-first over equivalence classes (Zaki's Eclat): a node is a set
+    S in ascending index order with its packed tidset row and a candidate
+    list, the ascending indices j > max(S) still worth trying.  One
+    popcount over the candidates' rows ANDed with S's row counts every
+    child S + {j}; children with sigma > theta are kept, and each keeps
+    the passing siblings after it as its own candidate list and its row
+    of that AND as its tidset.  This is exact: sigma(S + {i, j}) <=
+    sigma(S + {j}), so a sibling that failed theta can only fail again
+    below, and the sets visited are exactly those of trying every later
+    index.  The gamma term decides output per set and never prunes, since
+    it is not anti-monotone.  Output is sorted by size, then
+    lexicographically by indices.
+
+    tidsets is the _tidsets matrix when the caller already has it.
+    Raises MiningError once the enumeration passes a fixed budget of
+    candidate checks.
     """
     n = dataset.row_count
-    m = len(catalog)
-    cap = config.max_set_size if config.max_set_size is not None else m
-    tids = _tidsets(dataset, catalog)
+    theta, gamma = config.theta, config.gamma
+    cap = config.max_set_size if config.max_set_size is not None else len(catalog)
     singleton = catalog.supports
     out: list[FrequentSet] = []
+    tids = _tidsets(dataset, catalog) if tidsets is None else tidsets
+    checks = 0
 
-    def extend(ids: list[int], tid: int, min_member: float, start: int) -> None:
-        for j in range(start, m):
-            new_tid = tid & tids[j]
-            sup = new_tid.bit_count() / n
-            if not sup > config.theta:
-                continue
+    def passing(rows: np.ndarray, cand: np.ndarray) -> tuple[list[int], list[int]]:
+        nonlocal checks
+        checks += len(cand)
+        if checks > _MAX_CANDIDATE_CHECKS:
+            raise MiningError(
+                f"frequent-set enumeration passed {_MAX_CANDIDATE_CHECKS} candidate checks; "
+                f"raise theta (now {theta}) or lower max_set_size (now {config.max_set_size})"
+            )
+        counts = np.bitwise_count(rows).sum(axis=1).tolist()
+        return [k for k, c in enumerate(counts) if c / n > theta], counts
+
+    def extend(ids: list[int], tid: np.ndarray, min_member: float, cand: np.ndarray) -> None:
+        rows = tids[cand] & tid
+        kept, counts = passing(rows, cand)
+        later = cand[kept]
+        for pos, (k, j) in enumerate(zip(kept, later.tolist())):
+            sup = counts[k] / n
             new_min = min(min_member, singleton[j])
             ids.append(j)
-            if sup > max(config.theta, config.gamma * new_min):
+            if sup > max(theta, gamma * new_min):
                 out.append(FrequentSet(tuple(ids), sup))
-            if len(ids) < cap:
-                extend(ids, new_tid, new_min, j + 1)
+            if len(ids) < cap and pos + 1 < len(kept):
+                extend(ids, rows[k], new_min, later[pos + 1 :])
             ids.pop()
 
-    if cap >= 2:
-        for j in range(m):
-            if singleton[j] > config.theta:
-                extend([j], tids[j], singleton[j], j + 1)
+    # Candidates are the indices whose own row count passes theta: that count,
+    # not the catalog's cached support, bounds every set containing the index.
+    # A root is extended when its cached support passes too; a root whose
+    # count fails has no passing child either way.
+    everything = np.arange(len(catalog))
+    kept, _ = passing(tids, everything)
+    frequent = everything[kept]
+    for pos, j in enumerate(frequent.tolist()):
+        if singleton[j] > theta:
+            extend([j], tids[j], singleton[j], frequent[pos + 1 :])
 
     out.sort(key=lambda s: (len(s.ids), s.ids))
     return out
@@ -192,16 +244,23 @@ class InvariantRule:
 
 
 def generate_rules(
-    closed_sets: list[FrequentSet], dataset: Dataset, catalog: PredicateCatalog
+    closed_sets: list[FrequentSet],
+    dataset: Dataset,
+    catalog: PredicateCatalog,
+    *,
+    tidsets: np.ndarray | None = None,
 ) -> list[InvariantRule]:
     """Emit one rule per minimal antecedent of each closed set.
 
     An antecedent qualifies when its support equals the full set's
     support (confidence exactly 1, compared as row counts so there is
     no floating-point slack); it is kept only when no qualifying proper
-    subset of it exists.
+    subset of it exists.  tidsets is the _tidsets matrix when the caller
+    already has it.
     """
-    tids = _tidsets(dataset, catalog)
+    packed = _tidsets(dataset, catalog) if tidsets is None else tidsets
+    # one bigint per row: many small ANDs are cheaper on ints than as numpy calls
+    tids = [int.from_bytes(row.tobytes(), "big") for row in packed]
     rules: list[InvariantRule] = []
     for s in closed_sets:
         full_tid = tids[s.ids[0]]

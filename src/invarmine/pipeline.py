@@ -19,6 +19,7 @@ from .mining import (
     MiningConfig,
     MiningError,
     RuleSet,
+    _tidsets,
     boundary_rules,
     filter_closed,
     generate_rules,
@@ -125,12 +126,13 @@ def train_ruleset(dataset: Dataset, config: TrainConfig) -> TrainResult:
     timings["predicates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    frequent = mine_frequent_sets(dataset, catalog, mining_config)
+    tidsets = _tidsets(dataset, catalog)
+    frequent = mine_frequent_sets(dataset, catalog, mining_config, tidsets=tidsets)
     closed = filter_closed(frequent)
     timings["mining"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rules = generate_rules(closed, dataset, catalog)
+    rules = generate_rules(closed, dataset, catalog, tidsets=tidsets)
     rules.extend(boundary_rules(stats, dataset.schema))
     timings["rules"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start

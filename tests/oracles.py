@@ -37,6 +37,49 @@ def frequent_sets_by_enumeration(dataset, catalog, theta, gamma, max_set_size):
     return out
 
 
+def frequent_sets_by_dfs(dataset, catalog, config):
+    """mine_frequent_sets() as a depth-first scan over bigint tidsets.
+
+    This is the miner as it stood before candidate lists, kept whole:
+    every node tries every later catalog index, and a branch is cut as
+    soon as its running intersection fails sigma > theta.  Returns the
+    same sorted FrequentSet list.
+    """
+    from invarmine.mining import FrequentSet
+
+    n = dataset.row_count
+    m = len(catalog)
+    cap = config.max_set_size if config.max_set_size is not None else m
+    tids = [
+        int.from_bytes(np.packbits(np.ascontiguousarray(p.mask(dataset))).tobytes(), "big")
+        for p in catalog.predicates
+    ]
+    singleton = catalog.supports
+    out = []
+
+    def extend(ids, tid, min_member, start):
+        for j in range(start, m):
+            new_tid = tid & tids[j]
+            sup = new_tid.bit_count() / n
+            if not sup > config.theta:
+                continue
+            new_min = min(min_member, singleton[j])
+            ids.append(j)
+            if sup > max(config.theta, config.gamma * new_min):
+                out.append(FrequentSet(tuple(ids), sup))
+            if len(ids) < cap:
+                extend(ids, new_tid, new_min, j + 1)
+            ids.pop()
+
+    if cap >= 2:
+        for j in range(m):
+            if singleton[j] > config.theta:
+                extend([j], tids[j], singleton[j], j + 1)
+
+    out.sort(key=lambda s: (len(s.ids), s.ids))
+    return out
+
+
 def closed_by_full_scan(table):
     """Entries of {ids: support} with no equal-support strict superset anywhere."""
     out = {}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invarmine import cli
+from invarmine import cli, mining
 from invarmine.data import load_csv, save_schema, write_csv
 from invarmine.detect import DetectionConfig, detect, explain
 from invarmine.mining import load_ruleset
@@ -108,6 +108,31 @@ class TestTrain:
             )
         assert exc.value.code == 2
 
+    def test_enumeration_past_its_bound_is_an_error(self, workdir, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", 5)
+        code = cli.main(
+            ["train", "--data", workdir["train"], "--schema", workdir["schema"], "--theta", "0.2",
+             "--gamma", "0.3", "--max-set-size", "0", "--out", str(tmp_path / "rules.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: frequent-set enumeration passed 5 candidate checks")
+        assert "max_set_size (now None)" in captured.err
+
+    def test_cell_over_the_csv_field_limit_is_a_data_error(self, workdir, capsys, tmp_path):
+        lines = Path(workdir["train"]).read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("U2")] = "b" * 140_000
+        bad = tmp_path / "long.csv"
+        bad.write_text("\n".join(lines + [",".join(cells)]) + "\n")
+        code = cli.main(
+            ["train", "--data", str(bad), "--schema", workdir["schema"], "--theta", "0.2",
+             "--gamma", "0.3", "--out", str(tmp_path / "rules.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"error: {bad}: row 150: field larger than field limit")
+
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -123,7 +148,7 @@ class TestScore:
         captured = capsys.readouterr()
         assert code == 0
         assert "scored 150 rows: 0 anomalies (phi=0)" in captured.out
-        assert len(open(out).read().splitlines()) == 150
+        assert len(Path(out).read_text().splitlines()) == 150
 
     def test_anomalies_exit_one_and_are_reported(self, workdir, capsys, tmp_path):
         out = str(tmp_path / "hits.jsonl")
@@ -133,7 +158,7 @@ class TestScore:
         captured = capsys.readouterr()
         assert code == 1
         assert "scored 60 rows:" in captured.out
-        rows = [json.loads(line) for line in open(out)]
+        rows = [json.loads(line) for line in Path(out).read_text().splitlines()]
         assert len(rows) == 60
         flagged = {r["row"] for r in rows if r["is_anomaly"]}
         assert set(workdir["labeled_anomalies"]) <= flagged
@@ -141,9 +166,8 @@ class TestScore:
     def test_ignoring_every_violated_rule_silences_the_alarm(self, workdir, capsys, tmp_path):
         first = str(tmp_path / "first.jsonl")
         cli.main(["score", "--rules", workdir["rules"], "--data", workdir["test"], "--out", first])
-        violated = sorted(
-            {v["rule_id"] for line in open(first) for v in json.loads(line)["violations"]}
-        )
+        lines = Path(first).read_text().splitlines()
+        violated = sorted({v["rule_id"] for line in lines for v in json.loads(line)["violations"]})
         assert violated
         args = ["score", "--rules", workdir["rules"], "--data", workdir["test"],
                 "--out", str(tmp_path / "second.jsonl")]
@@ -446,7 +470,7 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 0
         assert "swept 2 cells (0 failed)" in captured.out
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "theta,gamma,rule_count,auc,pauc,f1,precision,recall"
         assert len(lines) == 3
 

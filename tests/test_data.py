@@ -1,5 +1,6 @@
 """Schema handling, CSV ingestion, column statistics, and support."""
 
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -177,6 +178,20 @@ class TestLoadCsv:
             load_csv(path, schema)
         assert schema.column("U1").values == ["a"]
         assert schema.code_for("U1", "z") is None
+
+    @pytest.mark.parametrize("where", ["header", "row 1"])
+    def test_cell_over_the_csv_field_limit_is_a_data_error(self, tmp_path, where):
+        long = "a" * (csv.field_size_limit() + 1)
+        if where == "header":
+            text = f"X1,U1,{long}\n1.0,a,b\n"
+        else:
+            text = f"X1,U1\n1.0,a\n2.0,{long}\n3.0,b\n"
+        path = write_text(tmp_path / "d.csv", text)
+        schema = make_schema(cont=("X1",), cat=("U1",))
+        with pytest.raises(DataError) as exc:
+            load_csv(path, schema)
+        assert str(exc.value).startswith(f"{path}: {where}: field larger than field limit")
+        assert schema.column("U1").values == []
 
 
 def _contents(dataset):
@@ -470,6 +485,32 @@ class TestRowsAndPoints:
         subset = dataset.take([2, 0])
         assert subset.column("X1").tolist() == [3.0, 1.0]
         assert subset.schema is dataset.schema
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"U1": ["a", "b"], "X1": [1.0, float("nan")], "U2": ["c", "d"]},
+            {"U1": ["a", "b"], "X1": [1.0, 2.0], "U2": ["c"]},
+        ],
+        ids=["non-finite value", "unequal lengths"],
+    )
+    def test_failed_build_leaves_the_schema_unchanged(self, columns):
+        schema = Schema(
+            [Column("U1", CATEGORICAL, ["b"]), Column("X1", CONTINUOUS, []), Column("U2", CATEGORICAL, [])]
+        )
+        before = schema.to_dict()
+        with pytest.raises(DataError):
+            Dataset.from_columns(schema, columns)
+        assert schema.to_dict() == before
+        assert schema.column("U1").values == ["b"]
+
+    def test_new_values_get_first_seen_codes_after_the_known_ones(self):
+        schema = Schema([Column("U1", CATEGORICAL, ["b"]), Column("X1", CONTINUOUS, [])])
+        dataset = Dataset.from_columns(schema, {"U1": ["c", "b", "a", "c"], "X1": [1.0, 2.0, 3.0, 4.0]})
+        assert dataset.column("U1").tolist() == [1, 0, 2, 1]
+        assert schema.column("U1").values == ["b", "c", "a"]
 
 
 class TestLabels:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from invarmine import mining
 from invarmine.data import ColumnStats, ContinuousStats, DataError, support
 from invarmine.mining import (
     BOUNDARY,
@@ -21,6 +22,7 @@ from invarmine.mining import (
     mine_frequent_sets,
     save_ruleset,
 )
+from invarmine.pipeline import TrainConfig, train_ruleset
 from invarmine.predicates import (
     CategoricalDisjunction,
     CategoricalEquals,
@@ -29,9 +31,10 @@ from invarmine.predicates import (
     PredicateCatalog,
     Range,
 )
+from invarmine.synth import random_mixed_dataset
 
 from helpers import build_catalog, make_dataset, make_schema, random_predicates
-from oracles import closed_by_full_scan, frequent_sets_by_enumeration
+from oracles import closed_by_full_scan, frequent_sets_by_dfs, frequent_sets_by_enumeration
 
 INF = float("inf")
 
@@ -124,6 +127,88 @@ class TestBruteForce:
         assert expected  # the case is not vacuous
         # the enumeration visits sets by size, then lexicographically: the miner's order
         assert [(s.ids, s.support) for s in mined] == list(expected.items())
+
+
+@st.composite
+def dfs_instance(draw):
+    """A table wide enough for multi-word packed rows, with a catalog whose
+    cached supports are sometimes not the rows' own (the miner must still
+    read them exactly as the reference does)."""
+    n = draw(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(5, 260)))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    dataset = make_dataset(
+        cont={
+            "X1": rng.choice([-4.0, -1.0, 0.5, 2.0, 6.0], size=n).tolist(),
+            "X2": rng.normal(size=n).tolist(),
+        },
+        cat={
+            "U1": rng.choice(["a", "b", "c", "d"], size=n, p=[0.4, 0.3, 0.2, 0.1]).tolist(),
+            "U2": rng.choice(["p", "q"], size=n).tolist(),
+        },
+    )
+    catalog = build_catalog(dataset, random_predicates(dataset, rng, max_preds=14))
+    if draw(st.booleans()):
+        catalog = PredicateCatalog([(p, float(rng.random())) for p in catalog.predicates])
+    theta = draw(st.sampled_from([0.02, 0.05, 0.15, 0.3]))
+    gamma = draw(st.sampled_from([0.0, 0.3, 0.7, 0.9]))
+    cap = draw(st.sampled_from([2, 3, 6, None]))
+    return dataset, catalog, MiningConfig(theta, gamma, cap)
+
+
+class TestMatchesDfsReference:
+    """mine_frequent_sets against tests/oracles.py::frequent_sets_by_dfs:
+    the same FrequentSet list, supports and order."""
+
+    @given(dfs_instance())
+    def test_generated_tables(self, case):
+        dataset, catalog, config = case
+        assert mine_frequent_sets(dataset, catalog, config) == frequent_sets_by_dfs(dataset, catalog, config)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_whole_word_row_counts(self, n):
+        rng = np.random.default_rng(n)
+        dataset = make_dataset(
+            cont={"X1": rng.normal(size=n).tolist()}, cat={"U1": rng.choice(["a", "b"], size=n).tolist()}
+        )
+        catalog = build_catalog(dataset, random_predicates(dataset, rng, max_preds=10))
+        config = MiningConfig(0.05, 0.3, None)
+        found = mine_frequent_sets(dataset, catalog, config)
+        assert found  # the case is not vacuous
+        assert found == frequent_sets_by_dfs(dataset, catalog, config)
+
+    def test_sets_failing_gamma_are_still_extended(self):
+        dataset = random_mixed_dataset(3000, 6, 4, seed=1)
+        catalog = train_ruleset(dataset, TrainConfig(0.05, 0.5)).ruleset.catalog
+        config = MiningConfig(0.05, 0.5, 6)
+        found = mine_frequent_sets(dataset, catalog, config)
+        assert found == frequent_sets_by_dfs(dataset, catalog, config)
+        # some output set's prefix passed theta (it was extended) but failed gamma
+        emitted = {s.ids for s in found}
+        assert any(len(s.ids) > 2 and s.ids[:-1] not in emitted for s in found)
+
+    @pytest.mark.parametrize("supports", [[], [0.2, 0.25]], ids=["empty catalog", "no root above theta"])
+    def test_nothing_to_mine(self, supports):
+        dataset = indicator_dataset(8, {0, 1}, {0, 1, 2, 3, 4})
+        catalog = PredicateCatalog(list(zip(indicator_predicates(len(supports)), supports)))
+        config = MiningConfig(0.25, 0.0, None)
+        assert mine_frequent_sets(dataset, catalog, config) == []
+        assert frequent_sets_by_dfs(dataset, catalog, config) == []
+
+
+class TestEnumerationBound:
+    def test_past_the_bound_raises(self, monkeypatch):
+        dataset = indicator_dataset(10, *[set(range(8))] * 6)
+        catalog = build_catalog(dataset, indicator_predicates(6))
+        config = MiningConfig(0.1, 0.0, None)
+        # every set passes: 6 root checks, then one check per set of size 2..6
+        checks = 6 + 2**6 - 6 - 1
+        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", checks)
+        assert len(mine_frequent_sets(dataset, catalog, config)) == 2**6 - 6 - 1
+        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", checks - 1)
+        message = f"passed {checks - 1} candidate checks; raise theta .* or lower max_set_size"
+        with pytest.raises(MiningError, match=message):
+            mine_frequent_sets(dataset, catalog, config)
 
 
 class TestClosed:
