@@ -39,7 +39,7 @@ def _gamma(text: str) -> float:
 
 def _phi(text: str) -> float:
     value = float(text)
-    if value < 0.0:
+    if not value >= 0.0:  # also rejects NaN
         raise argparse.ArgumentTypeError(f"phi must be non-negative, got {text}")
     return value
 

@@ -37,7 +37,7 @@ class DetectionConfig:
     ignore_rules: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.phi < 0.0:
+        if not self.phi >= 0.0:  # also rejects NaN, which no score would exceed
             raise DataError(f"phi must be non-negative, got {self.phi}")
 
 

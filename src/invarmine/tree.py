@@ -20,12 +20,24 @@ values in row order, so inside every node rows stay ordered by (value,
 row index), exactly as a stable sort of the node's rows would order
 them.  Every prefix sum, midpoint and tie is therefore evaluated in
 the same order as a grower that re-sorts at each node, and the trees
-match it bit for bit.
+match it bit for bit.  np.compress keeps the elements a mask selects in
+their order, so it partitions as stably as boolean indexing does.
+
+Classification gains are computed per class, not on a count matrix,
+and still equal the matrix form bit for bit.  Class counts are
+integers, so the prefix counts of all present classes but the last, the
+last one taken as the left size minus their sum, and the right counts
+taken as parent minus left are all exact.  Each class's entropy term
+p * log2(p) is the same element-wise operation, with the log evaluated
+only where the count is non-zero.  The terms are summed over every
+class code, absent ones included, in the grouping numpy uses to sum one
+row of the matrix (_class_sum), so every entropy rounds the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -95,21 +107,59 @@ class DecisionTree:
         return "\n".join(lines)
 
 
-def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    """Base-2 entropy per row of a class-count matrix; 0 log 0 is 0."""
-    totals = counts.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / totals
-        terms = np.where(counts > 0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=1)
+def _add(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """a + b, written into a; None stands for an array of zeros."""
+    if a is None:
+        return b
+    if b is not None:
+        a += b
+    return a
+
+
+def _class_sum(terms: list[np.ndarray | None]) -> np.ndarray | None:
+    """Element-wise sum of per-class arrays, grouped the way numpy's
+    add.reduce groups a contiguous row of len(terms) values (its pairwise
+    summation): in order below 8 values, else 8 interleaved accumulators
+    combined pairwise, with rows over 128 values halved first.  The
+    node-sort reference in the tests sums the count matrix row by row, so
+    a numpy that groups otherwise fails the tree tests.  Consumes the
+    arrays."""
+    k = len(terms)
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _add(_class_sum(terms[:half]), _class_sum(terms[half:]))
+    if k < 8:
+        return reduce(_add, terms, None)
+    acc8 = terms[:8]
+    whole = k - k % 8
+    for i in range(8, whole):
+        acc8[i % 8] = _add(acc8[i % 8], terms[i])
+    r = [_add(acc8[i], acc8[i + 1]) for i in (0, 2, 4, 6)]
+    return reduce(_add, terms[whole:], _add(_add(r[0], r[1]), _add(r[2], r[3])))
+
+
+def _entropy(counts: list[np.ndarray | None], totals: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of count vectors given one integer array per class
+    (None for a class with no rows anywhere) and their totals; 0 log 0 is 0."""
+    terms: list[np.ndarray | None] = []
+    for c in counts:
+        if c is None:
+            terms.append(None)
+            continue
+        p = c / totals
+        t = np.log2(p, out=np.zeros(len(p)), where=c > 0)
+        t *= p
+        terms.append(t)
+    return -_class_sum(terms)
 
 
 def _valid_boundaries(vs: np.ndarray, min_leaf: int) -> np.ndarray:
     """Left sizes at distinct-value boundaries of sorted values vs that
     leave both sides strictly more than min_leaf rows."""
-    n = len(vs)
-    change = np.nonzero(vs[1:] > vs[:-1])[0] + 1
-    return change[(change > min_leaf) & (n - change > min_leaf)]
+    lo, hi = min_leaf + 1, len(vs) - min_leaf
+    if hi <= lo:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(vs[lo:hi] > vs[lo - 1 : hi - 1]) + lo
 
 
 def _classification_gains(y: np.ndarray, yn: np.ndarray, n_classes: int):
@@ -120,18 +170,20 @@ def _classification_gains(y: np.ndarray, yn: np.ndarray, n_classes: int):
     """
     n = len(yn)
     parent = np.bincount(yn, minlength=n_classes)
-    parent_counts = parent.astype(np.float64)
-    h_parent = float(_entropy_rows(parent_counts[None, :])[0])
-    present = np.flatnonzero(parent)
+    *counted, last = np.flatnonzero(parent).tolist()  # the last present class is counted by difference
+    h_parent = float(_entropy([np.array([k]) if k else None for k in parent.tolist()], np.array([n]))[0])
 
     def gains(order: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        ys = y[order]
-        left_counts = np.zeros((len(valid), n_classes), dtype=np.float64)
-        for c in present:  # absent classes count 0 on both sides
-            left_counts[:, c] = np.cumsum(ys == c)[valid - 1]
-        right_counts = parent_counts[None, :] - left_counts
-        h_left = _entropy_rows(left_counts)
-        h_right = _entropy_rows(right_counts)
+        ys = y[order[: valid[-1]]]  # rows past the last boundary are never counted
+        at = valid - 1
+        left: list[np.ndarray | None] = [None] * n_classes
+        left[last] = valid.copy()
+        for c in counted:
+            left[c] = np.cumsum(ys == c)[at]
+            left[last] -= left[c]
+        right = [None if lc is None else parent[c] - lc for c, lc in enumerate(left)]
+        h_left = _entropy(left, valid)
+        h_right = _entropy(right, n - valid)
         return h_parent - (valid / n) * h_left - ((n - valid) / n) * h_right
 
     return gains
@@ -226,9 +278,9 @@ class _Grower:
         _, f, tau = found
         node.split = SplitRule(column=self.features[f], threshold=float(tau))
         go_right = self.go_right
-        go_right[rows] = self.columns[f][rows] > tau
-        right = go_right[rows]
-        left_rows, right_rows = rows[~right], rows[right]
+        right = self.columns[f][rows] > tau
+        go_right[rows] = right
+        left_rows, right_rows = np.compress(~right, rows), np.compress(right, rows)
         # a child too small to split never reads its orders
         left_splits = len(left_rows) >= self.min_split
         right_splits = len(right_rows) >= self.min_split
@@ -237,9 +289,9 @@ class _Grower:
         for order in orders:
             goes = go_right[order]
             if left_splits:
-                left_orders.append(order[~goes])
+                left_orders.append(np.compress(~goes, order))
             if right_splits:
-                right_orders.append(order[goes])
+                right_orders.append(np.compress(goes, order))
         orders.clear()  # release this node's arrays before recursing
         del yn, right
         node.left = self.grow(left_rows, left_orders)

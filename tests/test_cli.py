@@ -178,6 +178,16 @@ class TestScore:
         assert code == 0
         assert "0 anomalies" in captured.out
 
+    @pytest.mark.parametrize("phi", ["nan", "-0.5"])
+    def test_negative_or_nan_phi_is_a_usage_error(self, workdir, capsys, tmp_path, phi):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["score", "--rules", workdir["rules"], "--data", workdir["test"],
+                 "--out", str(tmp_path / "out.jsonl"), "--phi", phi]
+            )
+        assert exc.value.code == 2
+        assert "phi must be non-negative" in capsys.readouterr().err
+
     def test_missing_rule_file_is_a_data_error(self, workdir, capsys, tmp_path):
         code = cli.main(
             ["score", "--rules", str(tmp_path / "nope.json"), "--data", workdir["test"],
@@ -445,6 +455,15 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == 3
         assert "at least one anomaly" in captured.err
+
+    def test_nan_phi_is_a_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["evaluate", "--rules", workdir["rules"], "--data", workdir["test"],
+                 "--labels", workdir["labels"], "--phi", "nan"]
+            )
+        assert exc.value.code == 2
+        assert "phi must be non-negative" in capsys.readouterr().err
 
     def test_label_count_mismatch(self, workdir, capsys, tmp_path):
         short = tmp_path / "short.txt"

@@ -158,6 +158,10 @@ class TestThreshold:
         with pytest.raises(DataError, match="phi"):
             DetectionConfig(phi=-0.1)
 
+    def test_nan_phi_is_rejected(self):
+        with pytest.raises(DataError, match="phi"):
+            DetectionConfig(phi=float("nan"))
+
 
 class TestDeactivation:
     def test_ignored_rule_contributes_nothing(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invarmine.tree import (
     CLASSIFICATION,
@@ -207,6 +209,43 @@ def fit(dataset, target, kind, min_leaf, sorted_rows=None):
     return fit_regression_tree(dataset, target, min_leaf, sorted_rows)
 
 
+@st.composite
+def multiclass_case(draw):
+    """A classification table with 3-12 classes, where grid columns sit next
+    to high-cardinality ones (uniform, rounded to 0.01).  Classes follow X1's
+    rank, so subtrees lose classes, or are balanced or random, which gives
+    tied gains whose rounding depends on how the class terms are summed.
+    When the rows are sorted by X1, codes (first seen order) follow X1 too,
+    and a split on X1 leaves code 0 or the top code out of a child."""
+    n = draw(st.integers(20, 300))
+    n_classes = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    cont = {}
+    for f in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            cont[f"X{f + 1}"] = np.round(rng.uniform(-10, 10, size=n), 2)
+        else:
+            grid = np.sort(rng.uniform(-10, 10, size=int(rng.integers(2, 7))))
+            cont[f"X{f + 1}"] = rng.choice(grid, size=n)
+    rank = np.argsort(np.argsort(cont["X1"], kind="stable"), kind="stable")
+    layout = draw(st.sampled_from(["rank", "balanced", "random"]))
+    if layout == "rank":
+        codes = rank * n_classes // n
+        relabel = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+        codes[relabel] = rng.integers(0, n_classes, size=int(relabel.sum()))
+    elif layout == "balanced":
+        codes = rng.permutation(np.arange(n) % n_classes)
+    else:
+        codes = rng.integers(0, n_classes, size=n)
+    rows = np.argsort(rank) if draw(st.booleans()) else np.arange(n)
+    dataset = make_dataset(
+        cont={name: values[rows].tolist() for name, values in cont.items()},
+        cat={"U1": [f"c{k}" for k in codes[rows].tolist()]},
+    )
+    min_leaf = draw(st.sampled_from([0, 1, n // 2]) | st.integers(0, n // 3))
+    return dataset, list(cont), min_leaf
+
+
 class TestMatchesNodeSortReference:
     """Whole trees, not just root splits, equal the per-node-sort grower."""
 
@@ -238,3 +277,30 @@ class TestMatchesNodeSortReference:
             for name, order in sorted_rows.items():  # sharing leaves the sorts intact
                 assert not order.flags.writeable
                 assert np.array_equal(order, np.argsort(dataset.column(name), kind="stable"))
+
+    @given(multiclass_case())
+    def test_many_classes(self, case):
+        dataset, features, min_leaf = case
+        tree = fit_classification_tree(dataset, "U1", min_leaf)
+        assert tree.dump() == tree_by_node_sort(dataset, "U1", features, CLASSIFICATION, min_leaf).dump()
+
+    @pytest.mark.parametrize("n_classes", [4, 5, 7, 9])
+    def test_children_without_the_lowest_or_highest_code(self, n_classes):
+        """Classes follow X1 and first appear in code order, so the root's
+        split on X1 leaves the top code out of the left child and code 0
+        out of the right one, and both children split again."""
+        n = 30 * n_classes
+        rng = np.random.default_rng(n_classes)
+        x1 = np.arange(n, dtype=float)
+        codes = np.arange(n) * n_classes // n
+        dataset = make_dataset(
+            cont={"X1": x1.tolist(), "X2": np.round(rng.uniform(-10, 10, size=n), 2).tolist()},
+            cat={"U1": [f"c{k}" for k in codes.tolist()]},
+        )
+        tree = fit_classification_tree(dataset, "U1", min_leaf=2)
+        assert tree.dump() == tree_by_node_sort(dataset, "U1", ["X1", "X2"], CLASSIFICATION, 2).dump()
+        assert tree.root.split.column == "X1"
+        right = x1 > tree.root.split.threshold
+        y = dataset.column("U1")
+        assert n_classes - 1 not in y[~right] and 0 not in y[right]
+        assert not tree.root.left.is_leaf and not tree.root.right.is_leaf
