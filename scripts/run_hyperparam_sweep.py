@@ -20,15 +20,13 @@ def main() -> int:
                         default=[0.05, 0.1, 0.15, 0.2, 0.3, 0.4])
     parser.add_argument("--gamma-grid", type=float, nargs="+",
                         default=[0.0, 0.3, 0.6, 0.9])
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default="sweep.csv", help="CSV destination")
     args = parser.parse_args()
 
     train, _ = planted_rule_data(args.train_rows, seed=7)
     test, labels = planted_rule_data(args.test_rows, seed=11, violation_rate=0.05)
 
-    result = sweep(train, test, labels, args.theta_grid, args.gamma_grid,
-                   workers=args.workers)
+    result = sweep(train, test, labels, args.theta_grid, args.gamma_grid)
 
     header = f"{'theta':>6} {'gamma':>6} {'rules':>6} {'auc':>7} {'pauc':>7} {'f1':>7}"
     print(header)

@@ -28,7 +28,8 @@ from invarmine.evaluate import (
     standardized_pauc,
     tune_theta,
 )
-from invarmine.pipeline import TrainConfig, train_ruleset
+from invarmine.mining import MiningConfig
+from invarmine.pipeline import train_ruleset
 
 # name, train rows, test rows, expected AUC, expected pAUC at cap 0.1
 TARGETS = [
@@ -83,7 +84,7 @@ def run_one(directory: str, name: str, train_n: int, test_n: int,
     started = time.perf_counter()
     fit, validation = holdout_split(train, 0.2)
     tuning = tune_theta(fit, validation, gamma=0.7, target_fpr=0.01)
-    ruleset = train_ruleset(train, TrainConfig(theta=tuning.theta, gamma=0.7)).ruleset
+    ruleset = train_ruleset(train, MiningConfig(theta=tuning.theta, gamma=0.7)).ruleset
     ls = LabeledScores(score_dataset(ruleset, test), labels)
     auc = roc_auc(ls)
     pauc = standardized_pauc(ls, 0.1)

@@ -12,8 +12,8 @@ import os
 from invarmine.data import write_csv
 from invarmine.detect import DetectionConfig, detect, explain, score_dataset, write_reports
 from invarmine.evaluate import LabeledScores, prf1_at_threshold, roc_auc, standardized_pauc
-from invarmine.mining import BOUNDARY, save_ruleset
-from invarmine.pipeline import TrainConfig, train_ruleset
+from invarmine.mining import BOUNDARY, MiningConfig, save_ruleset
+from invarmine.pipeline import train_ruleset
 from invarmine.synth import planted_rule_data
 
 
@@ -30,7 +30,7 @@ def main() -> int:
     train, _ = planted_rule_data(args.train_rows, seed=7)
     test, labels = planted_rule_data(args.test_rows, seed=11, violation_rate=0.05)
 
-    result = train_ruleset(train, TrainConfig(theta=args.theta, gamma=args.gamma))
+    result = train_ruleset(train, MiningConfig(theta=args.theta, gamma=args.gamma))
     ruleset = result.ruleset
     mined = [r for r in ruleset.rules if r.kind != BOUNDARY]
     print(f"trained on {train.row_count} rows in {result.timings['total']:.2f}s")

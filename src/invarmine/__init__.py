@@ -60,7 +60,7 @@ from .mining import (
     mine_frequent_sets,
     save_ruleset,
 )
-from .pipeline import TrainConfig, TrainResult, train_ruleset
+from .pipeline import TrainResult, train_ruleset
 from .predicates import (
     CategoricalDisjunction,
     CategoricalEquals,
@@ -112,7 +112,6 @@ __all__ = [
     "SplitRule",
     "SweepResult",
     "ThetaTuning",
-    "TrainConfig",
     "TrainResult",
     "TreeError",
     "boundary_rules",

@@ -11,60 +11,54 @@ import json
 import sys
 
 from .data import load_csv, load_labels, load_schema
-from .detect import DetectionConfig, detect, explain, score_dataset, write_reports
+from .detect import DetectionConfig, check_phi, detect, explain, score_dataset, write_reports
 from .evaluate import (
     LabeledScores,
+    check_max_fpr,
     prf1_at_threshold,
     roc_auc,
     standardized_pauc,
     sweep,
 )
-from .mining import load_ruleset, save_ruleset
-from .pipeline import TrainConfig, train_ruleset
+from .mining import (
+    MiningConfig,
+    check_gamma,
+    check_max_set_size,
+    check_theta,
+    load_ruleset,
+    save_ruleset,
+)
+from .pipeline import train_ruleset
 
 
-def _theta(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"theta must lie in (0, 1), got {text}")
-    return value
+def _checked(check, convert=float):
+    """An argument type that converts the text and runs the library's own
+    check on the value, so a value out of range is a usage error that
+    carries the check's message."""
 
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-def _gamma(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"gamma must lie in [0, 1), got {text}")
-    return value
-
-
-def _phi(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"phi must be non-negative, got {text}")
-    return value
-
-
-def _max_fpr(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"max-fpr must lie in (0, 1], got {text}")
-    return value
+    # argparse names the type in its message for text that does not convert
+    parse.__name__ = check.__name__.removeprefix("check_")
+    return parse
 
 
 def _set_size(text: str) -> int | None:
     value = int(text)
-    if value == 0:
-        return None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"max-set-size must be >= 2 (0 for unlimited), got {text}")
-    return value
+    return None if value == 0 else value  # 0 means unlimited
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {text}")
-    return value
+_theta = _checked(check_theta)
+_gamma = _checked(check_gamma)
+_phi = _checked(check_phi)
+_max_fpr = _checked(check_max_fpr)
+_max_set_size = _checked(check_max_set_size, _set_size)
 
 
 def _non_negative_int(text: str) -> int:
@@ -97,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True, help="schema JSON (column names and kinds)")
     p.add_argument("--theta", required=True, type=_theta, help="support floor in (0, 1)")
     p.add_argument("--gamma", required=True, type=_gamma, help="rarest-member floor scale in [0, 1)")
-    p.add_argument("--max-set-size", type=_set_size, default=6, help="predicate set size cap (0 = unlimited)")
-    p.add_argument("--workers", type=_workers, default=None, help="threads for tree fitting")
+    p.add_argument("--max-set-size", type=_max_set_size, default=6, help="predicate set size cap (0 = unlimited)")
     p.add_argument("--out", required=True, help="rule file to write")
     p.set_defaults(func=cmd_train)
 
@@ -138,9 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="one 0/1 label per test row")
     p.add_argument("--theta-grid", required=True, type=_float_grid("theta", _theta), help="comma-separated")
     p.add_argument("--gamma-grid", required=True, type=_float_grid("gamma", _gamma), help="comma-separated")
-    p.add_argument("--max-set-size", type=_set_size, default=6)
+    p.add_argument("--max-set-size", type=_max_set_size, default=6)
     p.add_argument("--max-fpr", type=_max_fpr, default=0.1)
-    p.add_argument("--workers", type=_workers, default=None)
     p.add_argument("--out", required=True, help="CSV of per-cell metrics")
     p.set_defaults(func=cmd_sweep)
 
@@ -150,9 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_train(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
     dataset = load_csv(args.data, schema)
-    result = train_ruleset(
-        dataset, TrainConfig(args.theta, args.gamma, args.max_set_size, args.workers)
-    )
+    result = train_ruleset(dataset, MiningConfig(args.theta, args.gamma, args.max_set_size))
     save_ruleset(result.ruleset, args.out)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -231,7 +221,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gamma_grid=args.gamma_grid,
         max_set_size=args.max_set_size,
         max_fpr=args.max_fpr,
-        workers=args.workers,
     )
     result.to_csv(args.out)
     failures = [c for c in result.cells if c.error is not None]

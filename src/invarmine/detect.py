@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -37,8 +38,13 @@ class DetectionConfig:
     ignore_rules: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.phi >= 0.0:  # also rejects NaN, which no score would exceed
-            raise DataError(f"phi must be non-negative, got {self.phi}")
+        check_phi(self.phi)
+
+
+def check_phi(phi: float) -> None:
+    # also rejects NaN, which no score would exceed, and inf, which no JSON number holds
+    if not 0.0 <= phi < math.inf:
+        raise DataError(f"phi must be non-negative and finite, got {phi}")
 
 
 @dataclass(frozen=True)

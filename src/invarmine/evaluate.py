@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import DataError, Dataset
 from .detect import score_dataset
-from .mining import MiningError
-from .pipeline import TrainConfig, train_ruleset
+from .mining import MiningConfig, MiningError
+from .pipeline import train_ruleset
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,14 @@ def roc_auc(ls: LabeledScores) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def standardized_pauc(ls: LabeledScores, max_fpr: float) -> float:
-    """Partial area under the ROC curve up to max_fpr, standardized."""
+def check_max_fpr(max_fpr: float) -> None:
     if not 0.0 < max_fpr <= 1.0:
         raise DataError(f"max_fpr must lie in (0, 1], got {max_fpr}")
+
+
+def standardized_pauc(ls: LabeledScores, max_fpr: float) -> float:
+    """Partial area under the ROC curve up to max_fpr, standardized."""
+    check_max_fpr(max_fpr)
     fpr, tpr = roc_points(ls)
     if max_fpr == 1.0:
         return float(np.trapezoid(tpr, fpr))
@@ -173,7 +177,6 @@ def sweep(
     max_set_size: int | None = 6,
     max_fpr: float = 0.1,
     phi: float = 0.0,
-    workers: int | None = None,
 ) -> SweepResult:
     """Retrain and evaluate on every (theta, gamma) grid cell.
 
@@ -186,7 +189,7 @@ def sweep(
         for gamma in gamma_grid:
             cell = SweepCell(theta=theta, gamma=gamma)
             try:
-                result = train_ruleset(train, TrainConfig(theta, gamma, max_set_size, workers))
+                result = train_ruleset(train, MiningConfig(theta, gamma, max_set_size))
                 scores = score_dataset(result.ruleset, test)
                 ls = LabeledScores(scores, labels)
                 prf = prf1_at_threshold(ls, phi)
@@ -228,7 +231,6 @@ def tune_theta(
     target_fpr: float = 0.01,
     candidates: list[float] | None = None,
     max_set_size: int | None = 6,
-    workers: int | None = None,
 ) -> ThetaTuning:
     """Pick the theta that yields the most rules while the validation
     false positive rate at phi = 0 stays strictly below the target.
@@ -243,7 +245,7 @@ def tune_theta(
         raise MiningError("no theta candidates to try")
     trials: list[ThetaTrial] = []
     for theta in sorted(candidates, reverse=True):
-        result = train_ruleset(train, TrainConfig(theta, gamma, max_set_size, workers))
+        result = train_ruleset(train, MiningConfig(theta, gamma, max_set_size))
         scores = score_dataset(result.ruleset, validation)
         trials.append(
             ThetaTrial(

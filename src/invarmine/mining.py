@@ -76,12 +76,25 @@ class MiningConfig:
     max_set_size: int | None = 6
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta < 1.0:
-            raise MiningError(f"theta must lie in (0, 1), got {self.theta}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise MiningError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.max_set_size is not None and self.max_set_size < 2:
-            raise MiningError(f"max_set_size must be at least 2, got {self.max_set_size}")
+        check_theta(self.theta)
+        check_gamma(self.gamma)
+        check_max_set_size(self.max_set_size)
+
+
+def check_theta(theta: float) -> None:
+    if not 0.0 < theta < 1.0:
+        raise MiningError(f"theta must lie in (0, 1), got {theta}")
+
+
+def check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < 1.0:
+        raise MiningError(f"gamma must lie in [0, 1), got {gamma}")
+
+
+def check_max_set_size(max_set_size: int | None) -> None:
+    # an exact int: a float would be saved as given and read back truncated
+    if max_set_size is not None and (type(max_set_size) is not int or max_set_size < 2):
+        raise MiningError(f"max_set_size must be None or an integer >= 2, got {max_set_size!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,6 @@ class FrequentSet:
 
     ids: tuple[int, ...]
     support: float
-    closed: bool = False
 
 
 # Candidate checks one mine_frequent_sets call may make (a check is one
@@ -214,7 +226,7 @@ def filter_closed(sets: list[FrequentSet]) -> list[FrequentSet]:
                 closed = False
                 break
         if closed:
-            out.append(FrequentSet(s.ids, s.support, closed=True))
+            out.append(s)
     return out
 
 

@@ -29,7 +29,7 @@ from invarmine.mining import (
     generate_rules,
     mine_frequent_sets,
 )
-from invarmine.pipeline import TrainConfig, train_ruleset
+from invarmine.pipeline import train_ruleset
 from invarmine.predicates import CategoricalDisjunction, CategoricalEquals, Interval
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
@@ -70,7 +70,7 @@ def test_01_training_soundness():
     worst = 0.0
     for n_rows, n_cont, n_cat, theta, gamma, seed in specs:
         dataset = random_mixed_dataset(n_rows, n_cont, n_cat, seed=seed)
-        result = train_ruleset(dataset, TrainConfig(theta=theta, gamma=gamma))
+        result = train_ruleset(dataset, MiningConfig(theta=theta, gamma=gamma))
         scores = score_dataset(result.ruleset, dataset)
         worst = max(worst, float(np.abs(scores).max()))
         rows_total += n_rows
@@ -129,7 +129,7 @@ def test_03_rule_validity():
     rules_checked = 0
     problems = []
     for dataset, theta, gamma in cases:
-        ruleset = train_ruleset(dataset, TrainConfig(theta=theta, gamma=gamma, max_set_size=4)).ruleset
+        ruleset = train_ruleset(dataset, MiningConfig(theta=theta, gamma=gamma, max_set_size=4)).ruleset
         for rule in ruleset.rules:
             rules_checked += 1
             if rule.kind == BOUNDARY:
@@ -181,7 +181,7 @@ def test_04_predicate_generation():
     problems = []
     predicates_checked = 0
     for dataset, theta in cases:
-        ruleset = train_ruleset(dataset, TrainConfig(theta=theta, gamma=0.0)).ruleset
+        ruleset = train_ruleset(dataset, MiningConfig(theta=theta, gamma=0.0)).ruleset
         catalog = ruleset.catalog
 
         intervals_by_column = {}
@@ -254,7 +254,7 @@ def test_05_planted_anomaly_detection():
     started = time.perf_counter()
     train, _ = planted_rule_data(2000, seed=7)
     test, labels = planted_rule_data(1500, seed=11, violation_rate=0.05)
-    ruleset = train_ruleset(train, TrainConfig(theta=0.15, gamma=0.3)).ruleset
+    ruleset = train_ruleset(train, MiningConfig(theta=0.15, gamma=0.3)).ruleset
     scores = score_dataset(ruleset, test)
     auc = roc_auc(LabeledScores(scores, labels))
 
@@ -318,7 +318,7 @@ def test_06_metric_correctness():
 def test_07_hyperparameter_monotonicity():
     """With a frozen catalog, rule counts never rise as theta or gamma rise."""
     dataset, _ = planted_rule_data(600, seed=43)
-    catalog = train_ruleset(dataset, TrainConfig(theta=0.05, gamma=0.0)).ruleset.catalog
+    catalog = train_ruleset(dataset, MiningConfig(theta=0.05, gamma=0.0)).ruleset.catalog
     thetas = [0.1, 0.2, 0.3, 0.4, 0.5]
     gammas = [0.0, 0.3, 0.6, 0.9]
     frequent_counts = {}
@@ -416,7 +416,7 @@ def test_08_odds_benchmark():
 
         fit, validation = holdout_split(train, 0.2)
         tuning = tune_theta(fit, validation, gamma=0.7, target_fpr=0.01)
-        ruleset = train_ruleset(train, TrainConfig(theta=tuning.theta, gamma=0.7)).ruleset
+        ruleset = train_ruleset(train, MiningConfig(theta=tuning.theta, gamma=0.7)).ruleset
         scores = score_dataset(ruleset, test)
         ls = LabeledScores(scores, labels)
         auc = roc_auc(ls)
@@ -445,7 +445,7 @@ def test_09_validation_false_positive_control():
     train, validation = holdout_split(full, 0.2)
     tuning = tune_theta(train, validation, gamma=0.3, target_fpr=0.05,
                         candidates=[0.3, 0.2, 0.15], max_set_size=4)
-    ruleset = train_ruleset(train, TrainConfig(theta=tuning.theta, gamma=0.3, max_set_size=4)).ruleset
+    ruleset = train_ruleset(train, MiningConfig(theta=tuning.theta, gamma=0.3, max_set_size=4)).ruleset
     fpr = false_positive_rate(score_dataset(ruleset, validation))
     _report(
         "validation-fpr-control",

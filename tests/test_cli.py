@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from invarmine import cli, mining
 from invarmine.data import load_csv, save_schema, write_csv
 from invarmine.detect import DetectionConfig, detect, explain
-from invarmine.mining import load_ruleset
+from invarmine.evaluate import LabeledScores, standardized_pauc
+from invarmine.mining import MiningConfig, load_ruleset
 from invarmine.synth import planted_rule_data
 
 
@@ -93,7 +94,7 @@ class TestTrain:
             )
         assert exc.value.code == 2
 
-    def test_zero_workers_is_a_usage_error(self, workdir):
+    def test_workers_is_an_unrecognized_argument(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(
                 [
@@ -102,11 +103,12 @@ class TestTrain:
                     "--schema", workdir["schema"],
                     "--theta", "0.2",
                     "--gamma", "0.3",
-                    "--workers", "0",
+                    "--workers", "2",
                     "--out", "unused.json",
                 ]
             )
         assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_enumeration_past_its_bound_is_an_error(self, workdir, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", 5)
@@ -178,7 +180,7 @@ class TestScore:
         assert code == 0
         assert "0 anomalies" in captured.out
 
-    @pytest.mark.parametrize("phi", ["nan", "-0.5"])
+    @pytest.mark.parametrize("phi", ["nan", "-0.5", "inf"])
     def test_negative_or_nan_phi_is_a_usage_error(self, workdir, capsys, tmp_path, phi):
         with pytest.raises(SystemExit) as exc:
             cli.main(
@@ -502,6 +504,55 @@ class TestSweep:
                  "--out", str(tmp_path / "grid.csv")]
             )
         assert exc.value.code == 2
+
+
+# every command's required arguments; no file is read before the arguments parse
+REQUIRED_ARGS = {
+    "train": ["--data", "missing.csv", "--schema", "missing.json", "--theta", "0.2", "--gamma", "0.3",
+              "--out", "rules.json"],
+    "sweep": ["--train", "missing.csv", "--schema", "missing.json", "--data", "missing.csv",
+              "--labels", "missing.txt", "--theta-grid", "0.2", "--gamma-grid", "0.3", "--out", "grid.csv"],
+    "score": ["--rules", "missing.json", "--data", "missing.csv", "--out", "out.jsonl"],
+    "evaluate": ["--rules", "missing.json", "--data", "missing.csv", "--labels", "missing.txt"],
+}
+
+TWO_LABELS = LabeledScores(np.array([0.9, 0.1]), np.array([1, 0]))
+
+# an out-of-range value for each checked argument, and the library call that rejects it
+OUT_OF_RANGE = [
+    ("train", "--theta", "1.5", lambda: MiningConfig(1.5, 0.3)),
+    ("train", "--theta", "nan", lambda: MiningConfig(float("nan"), 0.3)),
+    ("train", "--gamma", "1", lambda: MiningConfig(0.2, 1.0)),
+    ("train", "--max-set-size", "1", lambda: MiningConfig(0.2, 0.3, 1)),
+    ("train", "--max-set-size", "-2", lambda: MiningConfig(0.2, 0.3, -2)),
+    ("sweep", "--theta-grid", "0.2,0", lambda: MiningConfig(0.0, 0.3)),
+    ("sweep", "--gamma-grid", "0.3,-0.5", lambda: MiningConfig(0.2, -0.5)),
+    ("sweep", "--max-set-size", "1", lambda: MiningConfig(0.2, 0.3, 1)),
+    ("sweep", "--max-fpr", "0", lambda: standardized_pauc(TWO_LABELS, 0.0)),
+    ("sweep", "--max-fpr", "1.5", lambda: standardized_pauc(TWO_LABELS, 1.5)),
+    ("score", "--phi", "-0.5", lambda: DetectionConfig(phi=-0.5)),
+    ("score", "--phi", "inf", lambda: DetectionConfig(phi=float("inf"))),
+    ("evaluate", "--phi", "nan", lambda: DetectionConfig(phi=float("nan"))),
+    ("evaluate", "--phi", "inf", lambda: DetectionConfig(phi=float("inf"))),
+    ("evaluate", "--max-fpr", "2", lambda: standardized_pauc(TWO_LABELS, 2.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, library_call",
+    OUT_OF_RANGE,
+    ids=[f"{c} {f} {t}" for c, f, t, _ in OUT_OF_RANGE],
+)
+def test_out_of_range_value_is_a_usage_error_with_the_library_message(
+    capsys, tmp_path, monkeypatch, command, flag, text, library_call
+):
+    with pytest.raises(ValueError) as raised:
+        library_call()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *REQUIRED_ARGS[command], flag, text])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: {raised.value}\n" in capsys.readouterr().err
 
 
 def test_module_entry_point_help():

@@ -27,8 +27,8 @@ from invarmine.detect import (
     score_point,
     write_reports,
 )
-from invarmine.mining import BOUNDARY, MINED, InvariantRule, RuleSet
-from invarmine.pipeline import TrainConfig, train_ruleset
+from invarmine.mining import BOUNDARY, MINED, InvariantRule, MiningConfig, RuleSet
+from invarmine.pipeline import train_ruleset
 from invarmine.predicates import Interval, Membership, PredicateCatalog, Range
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
@@ -161,6 +161,10 @@ class TestThreshold:
     def test_nan_phi_is_rejected(self):
         with pytest.raises(DataError, match="phi"):
             DetectionConfig(phi=float("nan"))
+
+    def test_infinite_phi_is_rejected(self):
+        with pytest.raises(DataError, match="phi must be non-negative and finite"):
+            DetectionConfig(phi=float("inf"))
 
 
 class TestDeactivation:
@@ -338,7 +342,7 @@ class TestReportFiles:
 class TestOnTrainedRules:
     def test_training_rows_never_flagged_and_scorers_agree(self):
         train, _ = planted_rule_data(300, seed=3)
-        ruleset = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3)).ruleset
+        ruleset = train_ruleset(train, MiningConfig(theta=0.2, gamma=0.3)).ruleset
         scores = score_dataset(ruleset, train)
         assert float(scores.max()) == 0.0
         probe, _ = planted_rule_data(40, seed=9, violation_rate=0.3)
@@ -353,7 +357,7 @@ class TestCategoricalCodes:
     @pytest.fixture(scope="class")
     def ruleset(self):
         train, _ = planted_rule_data(2000, seed=7)
-        return train_ruleset(train, TrainConfig(theta=0.15, gamma=0.3)).ruleset
+        return train_ruleset(train, MiningConfig(theta=0.15, gamma=0.3)).ruleset
 
     def test_own_schema_scores_like_the_rule_file_schema(self, ruleset, tmp_path):
         own, _ = planted_rule_data(1000, seed=11, violation_rate=0.0)
@@ -443,7 +447,7 @@ class TestMatchesRowLoopReference:
     )
     def test_trained_planted_table(self, tmp_path, config):
         train, _ = planted_rule_data(400, seed=3)
-        ruleset = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3)).ruleset
+        ruleset = train_ruleset(train, MiningConfig(theta=0.2, gamma=0.3)).ruleset
         probe, _ = planted_rule_data(200, seed=9, violation_rate=0.3)
         reports = self.check(ruleset, probe, config, tmp_path)
         assert any(r.violations for r in reports)
@@ -451,7 +455,7 @@ class TestMatchesRowLoopReference:
     @pytest.mark.parametrize("seed, mined", [(0, 0), (3, 43)])
     def test_trained_random_mixed_table(self, tmp_path, seed, mined):
         train = random_mixed_dataset(300, 3, 3, seed)
-        ruleset = train_ruleset(train, TrainConfig(theta=0.1, gamma=0.3)).ruleset
+        ruleset = train_ruleset(train, MiningConfig(theta=0.1, gamma=0.3)).ruleset
         assert sum(r.kind == MINED for r in ruleset.rules) == mined
         reports = self.check(ruleset, random_mixed_dataset(150, 3, 3, seed + 100), DetectionConfig(), tmp_path)
         assert any(r.violations for r in reports)
@@ -509,7 +513,7 @@ class TestMatchesRowLoopReference:
 
     def test_no_row_violated(self, tmp_path):
         train, _ = planted_rule_data(300, seed=5)
-        ruleset = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3)).ruleset
+        ruleset = train_ruleset(train, MiningConfig(theta=0.2, gamma=0.3)).ruleset
         reports = self.check(ruleset, train, DetectionConfig(), tmp_path)
         assert all(r.violations == [] and r.score == 0.0 for r in reports)
         # every clean row owns its empty list

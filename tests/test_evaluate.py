@@ -22,8 +22,7 @@ from invarmine.evaluate import (
     sweep,
     tune_theta,
 )
-from invarmine.mining import MiningError
-from invarmine.pipeline import TrainConfig
+from invarmine.mining import MiningConfig, MiningError
 from invarmine.synth import planted_rule_data
 
 from helpers import make_dataset
@@ -208,12 +207,6 @@ class TestSweep:
         assert bad.rule_count is None and bad.auc is None
         assert good.error is None and good.rule_count > 0
 
-    def test_zero_workers_fails_every_cell(self):
-        train, test, labels = self.build_data()
-        result = sweep(train, test, labels, [0.2, 0.3], [0.0], max_set_size=4, workers=0)
-        assert [c.error for c in result.cells] == ["workers must be None or an integer >= 1, got 0"] * 2
-        assert all(c.rule_count is None for c in result.cells)
-
     def test_sweep_is_deterministic(self):
         train, test, labels = self.build_data()
         first = sweep(train, test, labels, [0.25], [0.0, 0.5], max_set_size=4)
@@ -246,7 +239,7 @@ class FakeTuneTarget:
         self.trained_thetas = []
 
     def train(self, dataset, config):
-        assert isinstance(config, TrainConfig)
+        assert isinstance(config, MiningConfig)
         self.trained_thetas.append(config.theta)
         ruleset = SimpleNamespace(theta=config.theta, rules=[object()] * self.rule_counts[config.theta])
         return SimpleNamespace(ruleset=ruleset)

@@ -22,7 +22,7 @@ from invarmine.mining import (
     mine_frequent_sets,
     save_ruleset,
 )
-from invarmine.pipeline import TrainConfig, train_ruleset
+from invarmine.pipeline import train_ruleset
 from invarmine.predicates import (
     CategoricalDisjunction,
     CategoricalEquals,
@@ -62,6 +62,11 @@ class TestConfig:
             MiningConfig(theta=0.2, gamma=1.0)
         with pytest.raises(MiningError, match="max_set_size"):
             MiningConfig(theta=0.2, gamma=0.5, max_set_size=1)
+
+    @pytest.mark.parametrize("size", [2.5, True, "3"])
+    def test_max_set_size_must_be_an_int(self, size):
+        with pytest.raises(MiningError, match="max_set_size must be None or an integer >= 2"):
+            MiningConfig(theta=0.2, gamma=0.5, max_set_size=size)
 
     def test_gamma_zero_and_unbounded_size_are_legal(self):
         cfg = MiningConfig(theta=0.2, gamma=0.0, max_set_size=None)
@@ -179,7 +184,7 @@ class TestMatchesDfsReference:
 
     def test_sets_failing_gamma_are_still_extended(self):
         dataset = random_mixed_dataset(3000, 6, 4, seed=1)
-        catalog = train_ruleset(dataset, TrainConfig(0.05, 0.5)).ruleset.catalog
+        catalog = train_ruleset(dataset, MiningConfig(0.05, 0.5)).ruleset.catalog
         config = MiningConfig(0.05, 0.5, 6)
         found = mine_frequent_sets(dataset, catalog, config)
         assert found == frequent_sets_by_dfs(dataset, catalog, config)
@@ -217,9 +222,7 @@ class TestClosed:
             FrequentSet((0, 1), 0.4),
             FrequentSet((0, 1, 2), 0.4),
         ]
-        survivors = filter_closed(sets)
-        assert [s.ids for s in survivors] == [(0, 1, 2)]
-        assert survivors[0].closed
+        assert filter_closed(sets) == [FrequentSet((0, 1, 2), 0.4)]
 
     def test_distinct_supports_all_retained(self):
         sets = [
@@ -257,13 +260,13 @@ class TestRuleGeneration:
     def test_no_rule_when_neither_side_reaches_full_support(self):
         dataset = indicator_dataset(10, {0, 1, 2, 3, 4, 5}, {2, 3, 4, 5, 6, 7})
         catalog = build_catalog(dataset, indicator_predicates(2))
-        closed = [FrequentSet((0, 1), 0.4, closed=True)]
+        closed = [FrequentSet((0, 1), 0.4)]
         assert generate_rules(closed, dataset, catalog) == []
 
     def test_non_minimal_antecedents_suppressed_in_triples(self):
         dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 6})
         catalog = build_catalog(dataset, indicator_predicates(3))
-        closed = [FrequentSet((0, 1, 2), 0.4, closed=True)]
+        closed = [FrequentSet((0, 1, 2), 0.4)]
         rules = generate_rules(closed, dataset, catalog)
         assert len(rules) == 1
         assert rules[0].antecedent == (catalog.predicates[0],)
@@ -273,7 +276,7 @@ class TestRuleGeneration:
         shared = {0, 1, 2, 3}
         dataset = indicator_dataset(10, shared, shared, {0, 1, 2, 3, 4, 5})
         catalog = build_catalog(dataset, indicator_predicates(3))
-        closed = [FrequentSet((0, 1, 2), 0.4, closed=True)]
+        closed = [FrequentSet((0, 1, 2), 0.4)]
         rules = generate_rules(closed, dataset, catalog)
         assert [r.antecedent for r in rules] == [
             (catalog.predicates[0],),
@@ -365,7 +368,7 @@ def test_closed_filter_matches_full_superset_scan(case):
     closed = filter_closed(mined)
     expected = closed_by_full_scan({s.ids: s.support for s in mined})
     assert {s.ids: s.support for s in closed} == expected
-    assert all(s.closed for s in closed)
+    assert closed == [s for s in mined if s.ids in expected]  # the input sets, in input order
 
 
 @given(mining_instance())

@@ -1,64 +1,31 @@
 """End-to-end training behavior and the synthetic generators."""
 
-import sys
-
 import numpy as np
 import pytest
 
 from invarmine.data import CATEGORICAL, CONTINUOUS
 from invarmine.detect import score_dataset
-from invarmine.mining import BOUNDARY, MiningError, save_ruleset
-from invarmine.pipeline import TrainConfig, train_ruleset
+from invarmine.mining import BOUNDARY, MiningConfig, save_ruleset
+from invarmine.pipeline import train_ruleset
 from invarmine.synth import X3_HIGH, planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset
 
 
-class TestTrainConfig:
-    @pytest.mark.parametrize("workers", [0, -3, True, False, 1.5, "2"])
-    def test_bad_worker_count_is_rejected(self, workers):
-        with pytest.raises(MiningError, match="workers must be None or an integer >= 1"):
-            TrainConfig(0.1, 0.3, workers=workers)
-
-    @pytest.mark.parametrize("workers", [None, 1, 4])
-    def test_good_worker_count_is_kept(self, workers):
-        assert TrainConfig(0.1, 0.3, workers=workers).workers == workers
-
-
 class TestTraining:
     def test_two_runs_produce_identical_rulesets(self, tmp_path):
         train, _ = planted_rule_data(200, seed=5)
-        first = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3, max_set_size=4))
-        second = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3, max_set_size=4))
+        first = train_ruleset(train, MiningConfig(theta=0.2, gamma=0.3, max_set_size=4))
+        second = train_ruleset(train, MiningConfig(theta=0.2, gamma=0.3, max_set_size=4))
         assert first.ruleset == second.ruleset
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_ruleset(first.ruleset, str(a))
         save_ruleset(second.ruleset, str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_pool_matches_serial(self):
-        train, _ = planted_rule_data(200, seed=5)
-        serial = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3, max_set_size=4))
-        pooled = train_ruleset(train, TrainConfig(theta=0.2, gamma=0.3, max_set_size=4, workers=4))
-        assert serial.ruleset == pooled.ruleset
-        assert serial.warnings == pooled.warnings
-
-    def test_thread_pool_grows_the_same_trees(self):
-        # every tree reads one shared set of sorted row orders; switch threads often
-        train = random_mixed_dataset(600, 6, 4, seed=3)
-        serial = train_ruleset(train, TrainConfig(theta=0.05, gamma=0.3, max_set_size=2))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            pooled = train_ruleset(train, TrainConfig(theta=0.05, gamma=0.3, max_set_size=2, workers=4))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(serial.trees) == 10
-        assert [t.dump() for t in pooled.trees] == [t.dump() for t in serial.trees]
-
     def test_timings_cover_every_stage(self):
         train, _ = planted_rule_data(120, seed=5)
-        result = train_ruleset(train, TrainConfig(theta=0.25, gamma=0.0, max_set_size=3))
+        result = train_ruleset(train, MiningConfig(theta=0.25, gamma=0.0, max_set_size=3))
         assert set(result.timings) == {"stats", "trees", "predicates", "mining", "rules", "total"}
         assert all(v >= 0.0 for v in result.timings.values())
 
@@ -67,7 +34,7 @@ class TestTraining:
             cont={"X1": [float(i % 5) for i in range(20)]},
             cat={"U1": ["a" if i % 5 < 3 else "b" for i in range(20)]},
         )
-        result = train_ruleset(dataset, TrainConfig(theta=0.3, gamma=0.0))
+        result = train_ruleset(dataset, MiningConfig(theta=0.3, gamma=0.0))
         assert result.warnings == [
             "column 'X1': no other continuous column to regress on; tree skipped"
         ]
@@ -79,7 +46,7 @@ class TestTraining:
                 "U2": ["x", "y", "x", "y", "x", "y", "x", "y"],
             }
         )
-        result = train_ruleset(dataset, TrainConfig(theta=0.25, gamma=0.0))
+        result = train_ruleset(dataset, MiningConfig(theta=0.25, gamma=0.0))
         assert result.warnings == [
             "column 'U1': no continuous columns to split on; tree skipped",
             "column 'U2': no continuous columns to split on; tree skipped",
@@ -94,7 +61,7 @@ class TestTraining:
             cont={"X1": [float(i) for i in range(100)]},
             cat={"U1": ["a" if i < 60 else "b" for i in range(100)]},
         )
-        result = train_ruleset(dataset, TrainConfig(theta=0.99, gamma=0.0))
+        result = train_ruleset(dataset, MiningConfig(theta=0.99, gamma=0.0))
         # min_leaf 99 forbids any split and no single value clears 0.99,
         # so the catalog holds at most the whole-column disjunction
         assert len(result.ruleset.catalog) <= 1
@@ -102,13 +69,13 @@ class TestTraining:
 
     def test_ruleset_schema_is_isolated_from_the_training_data(self):
         train, _ = planted_rule_data(120, seed=5)
-        result = train_ruleset(train, TrainConfig(theta=0.25, gamma=0.0, max_set_size=3))
+        result = train_ruleset(train, MiningConfig(theta=0.25, gamma=0.0, max_set_size=3))
         assert result.ruleset.schema == train.schema
         assert result.ruleset.schema is not train.schema
 
     def test_planted_training_scores_itself_zero(self):
         train, _ = planted_rule_data(250, seed=41)
-        result = train_ruleset(train, TrainConfig(theta=0.15, gamma=0.3, max_set_size=4))
+        result = train_ruleset(train, MiningConfig(theta=0.15, gamma=0.3, max_set_size=4))
         mined = [r for r in result.ruleset.rules if r.kind != BOUNDARY]
         assert mined  # the planted structure must yield real rules
         assert float(score_dataset(result.ruleset, train).max()) == 0.0

@@ -1,5 +1,6 @@
-"""Source checks that stand in for a lint step: no import goes unused, and
-only the command-line module prints (the library reports through logging)."""
+"""Source checks that stand in for a lint step: no import goes unused, only
+the command-line module prints (the library reports through logging), and
+each parameter's range check lives in one module."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,40 @@ def test_the_scan_finds_a_print():
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
 def test_no_print_outside_the_cli(path):
     assert print_calls(path.read_text(encoding="utf-8")) == []
+
+
+def modules_with_literal(needle: str, sources: dict[str, str]) -> list[str]:
+    """Modules with a string literal, f-string parts included, that contains needle."""
+    return [
+        name
+        for name, source in sources.items()
+        if any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str) and needle in node.value
+            for node in ast.walk(ast.parse(source))
+        )
+    ]
+
+
+def test_the_scan_finds_a_copied_message():
+    sources = {
+        "a.py": 'def f(x):\n    raise ValueError(f"theta must lie in (0, 1), got {x}")\n',
+        "b.py": '# theta must lie in (0, 1)\nTEXT = "theta must"\n',
+        "c.py": 'MESSAGE = "theta must lie in (0, 1)"\n',
+    }
+    assert modules_with_literal("theta must lie in", sources) == ["a.py", "c.py"]
+
+
+# each parameter check's message, and the module that owns the parameter
+CHECK_HOMES = {
+    "theta must lie in": "mining.py",
+    "gamma must lie in": "mining.py",
+    "max_set_size must": "mining.py",
+    "phi must be non-negative": "detect.py",
+    "max_fpr must lie in": "evaluate.py",
+}
+
+
+@pytest.mark.parametrize("message", CHECK_HOMES)
+def test_each_parameter_is_checked_in_one_module(message):
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert modules_with_literal(message, sources) == [CHECK_HOMES[message]]
