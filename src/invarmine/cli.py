@@ -68,12 +68,18 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _float_grid(kind: str, convert) :
+def _float_grid(kind: str, convert):
     def parse(text: str) -> list[float]:
-        items = [s for s in text.split(",") if s.strip()]
+        items = [s.strip() for s in text.split(",") if s.strip()]
         if not items:
             raise argparse.ArgumentTypeError(f"empty {kind} grid")
-        return [convert(s.strip()) for s in items]
+        values = []
+        for item in items:
+            try:
+                values.append(convert(item))
+            except ValueError:  # text that is no number; a range error is an ArgumentTypeError
+                raise argparse.ArgumentTypeError(f"invalid {kind} value: {item!r}") from None
+        return values
 
     return parse
 
@@ -163,7 +169,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = DetectionConfig(phi=args.phi, ignore_rules=frozenset(args.ignore_rule))
     reports = detect(ruleset, dataset, config)
     write_reports(reports, ruleset, args.out)
-    anomalies = sum(1 for r in reports if r.is_anomaly)
+    anomalies = reports.anomaly_count()
     print(f"scored {len(reports)} rows: {anomalies} anomalies (phi={args.phi:g})")
     print(f"wrote {args.out}")
     return 1 if anomalies else 0

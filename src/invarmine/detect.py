@@ -9,8 +9,12 @@ exceeds the threshold phi.  Individual rules can be deactivated by id
 without retraining.
 
 Explanations are built per rule from arrays, not per row: the rows that
-break a rule through the same failed consequents share one RuleViolation,
-and the report writer renders each distinct violation once.
+break a rule through the same failed consequents share one RuleViolation.
+detect returns the reports as arrays (Reports): the score array, phi, and
+a map from each violated row to its RuleViolations.  The per-row
+AnomalyReport objects are built only when a caller indexes or iterates
+the reports; write_reports renders the file straight from the arrays,
+each distinct violation once, so the score command builds none of them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import gc
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +151,63 @@ def score_point(
     return score
 
 
-def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> list[AnomalyReport]:
+class Reports(Sequence[AnomalyReport]):
+    """What detect returns: one AnomalyReport per row, held as arrays.
+
+    ``scores`` is the read-only score array, ``phi`` the threshold, and
+    ``violated`` maps each row that breaks a rule to its RuleViolations
+    in rule-id order; a row absent from it is clean.  The AnomalyReport
+    objects are built on first index or iteration, all at once, and
+    kept, so every later access returns the same objects.  write_reports
+    renders the file from the arrays without building them.
+    """
+
+    def __init__(self, scores: np.ndarray, phi: float, violated: dict[int, list[RuleViolation]]):
+        scores.flags.writeable = False
+        self.scores = scores
+        self.phi = phi
+        self.violated = violated
+        self._built: list[AnomalyReport] | None = None
+
+    def _reports(self) -> list[AnomalyReport]:
+        if self._built is None:
+            phi, get = self.phi, self.violated.get
+            # two new container objects per row and none freed: the collector
+            # would run again and again over the growing list and find nothing
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                self._built = [  # each report owns its list; the map stays as detect left it
+                    AnomalyReport(row=i, score=s, is_anomaly=s > phi, violations=list(get(i, ())))
+                    for i, s in enumerate(self.scores.tolist())
+                ]
+            finally:
+                if collecting:
+                    gc.enable()
+        return self._built
+
+    def anomaly_count(self) -> int:
+        """Rows whose score exceeds phi, counted on the score array."""
+        return int(np.count_nonzero(self.scores > self.phi))
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, index):
+        return self._reports()[index]
+
+    def __iter__(self) -> Iterator[AnomalyReport]:
+        return iter(self._reports())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Reports):
+            other = other._reports()
+        if isinstance(other, list):
+            return self._reports() == other
+        return NotImplemented
+
+
+def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> Reports:
     """Score every row and collect its violated rules.
 
     Reports come back in row order, one per row, flagged anomalous when
@@ -155,16 +215,16 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> list[
     breaks, in rule-id order, each with the consequent predicates that
     failed.  Rows that break a rule through the same failed consequents
     share one (frozen) RuleViolation; every clean row gets its own empty
-    list.
+    list.  The reports are held as arrays and built on first access (see
+    Reports).
     """
-    n = dataset.row_count
-    scores = np.zeros(n, dtype=np.float64)
-    per_row: list[list[RuleViolation] | None] = [None] * n
-    for rid, rule, violated, failed in _violations(ruleset, dataset, config.ignore_rules):
-        rows = np.flatnonzero(violated)
+    scores = np.zeros(dataset.row_count, dtype=np.float64)
+    violated: dict[int, list[RuleViolation]] = {}
+    for rid, rule, mask, failed in _violations(ruleset, dataset, config.ignore_rules):
+        rows = np.flatnonzero(mask)
         if not len(rows):
             continue
-        np.add(scores, rule.support, out=scores, where=violated)
+        np.add(scores, rule.support, out=scores, where=mask)
         hits = np.column_stack([fm[rows] for _, fm in failed])
         patterns, which = np.unique(hits, axis=0, return_inverse=True)
         shared = [
@@ -172,24 +232,12 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> list[
             for pattern in patterns.tolist()
         ]
         for row, k in zip(rows.tolist(), which.ravel().tolist()):
-            found = per_row[row]
+            found = violated.get(row)
             if found is None:
-                per_row[row] = [shared[k]]
+                violated[row] = [shared[k]]
             else:
                 found.append(shared[k])
-    phi = config.phi
-    # two new container objects per row and none freed: the collector
-    # would run again and again over the growing list and find nothing
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return [
-            AnomalyReport(row=i, score=s, is_anomaly=s > phi, violations=found or [])
-            for i, (s, found) in enumerate(zip(scores.tolist(), per_row))
-        ]
-    finally:
-        if collecting:
-            gc.enable()
+    return Reports(scores, config.phi, violated)
 
 
 @dataclass
@@ -266,36 +314,44 @@ def _json_float(x: float) -> str:
     return json.dumps(x)
 
 
-def write_reports(reports: list[AnomalyReport], ruleset: RuleSet, path: str) -> None:
+# rows rendered per write: the lines in memory at once stay bounded
+_WRITE_ROWS = 1 << 14
+
+
+def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
     """One JSON object per row: score, flag, and violated rule details.
 
-    Each line is what json.dumps writes for {"row", "score", "is_anomaly",
-    "violations": [{"rule_id", "rule", "support", "failed"}, ...]} with
-    its default separators.  A violation's object is rendered once per
-    distinct (rule id, failed predicates) and reused on every row that
-    carries it; lines are written one at a time.
+    Takes what detect returned.  Each line is what json.dumps writes for
+    {"row", "score", "is_anomaly", "violations": [{"rule_id", "rule",
+    "support", "failed"}, ...]} with its default separators.  The lines
+    come from the reports' arrays: a violation's object is rendered once
+    and reused on every row that carries it, and blocks of _WRITE_ROWS
+    rows are written at a time.
     """
-    fragments: dict[tuple[int, tuple[Predicate, ...]], str] = {}
-
-    def fragment(v: RuleViolation) -> str:
-        key = (v.rule_id, v.failed)
-        text = fragments.get(key)
-        if text is None:
-            text = fragments[key] = json.dumps(
-                {
-                    "rule_id": v.rule_id,
-                    "rule": ruleset.rule_text(v.rule),
-                    "support": v.rule.support,
-                    "failed": [p.render(ruleset.schema) for p in v.failed],
-                }
-            )
-        return text
-
+    scores, phi, violated = reports.scores, reports.phi, reports.violated
+    schema = ruleset.schema
+    distinct = {id(v): v for found in violated.values() for v in found}
+    fragments = {  # one JSON object per shared RuleViolation, by its id
+        key: json.dumps(
+            {
+                "rule_id": v.rule_id,
+                "rule": ruleset.rule_text(v.rule),
+                "support": v.rule.support,
+                "failed": [p.render(schema) for p in v.failed],
+            }
+        )
+        for key, v in distinct.items()
+    }
+    hit = np.array(sorted(violated), dtype=np.int64)
+    # a row that breaks no rule scores exactly 0.0, and phi >= 0 leaves it unflagged
+    clean = '"score": 0.0, "is_anomaly": false, "violations": []}\n'
     with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            violations = ", ".join([fragment(v) for v in r.violations])
-            flag = "true" if r.is_anomaly else "false"
-            fh.write(
-                f'{{"row": {r.row}, "score": {_json_float(r.score)}, '
-                f'"is_anomaly": {flag}, "violations": [{violations}]}}\n'
-            )
+        for start in range(0, len(scores), _WRITE_ROWS):
+            stop = min(start + _WRITE_ROWS, len(scores))
+            rows = hit[np.searchsorted(hit, start) : np.searchsorted(hit, stop)]
+            rest = {
+                i: f'"score": {_json_float(s)}, "is_anomaly": {"true" if s > phi else "false"}, '
+                f'"violations": [{", ".join([fragments[id(v)] for v in violated[i]])}]}}\n'
+                for i, s in zip(rows.tolist(), scores[rows].tolist())
+            }
+            fh.write("".join([f'{{"row": {i}, {rest.get(i, clean)}' for i in range(start, stop)]))

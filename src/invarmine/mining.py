@@ -541,13 +541,16 @@ def _ruleset_from_json(payload: dict) -> RuleSet:
             )
         )
 
-    max_set_size = payload["max_set_size"]
+    theta, gamma, max_set_size = payload["theta"], payload["gamma"], payload["max_set_size"]
+    check_theta(theta)
+    check_gamma(gamma)
+    check_max_set_size(max_set_size)
     return RuleSet(
         schema=schema,
         stats=stats,
-        theta=float(payload["theta"]),
-        gamma=float(payload["gamma"]),
-        max_set_size=None if max_set_size is None else int(max_set_size),
+        theta=float(theta),
+        gamma=float(gamma),
+        max_set_size=max_set_size,
         catalog=catalog,
         rules=rules,
     )

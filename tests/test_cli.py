@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, outputs, and file handling."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,11 @@ from invarmine.detect import DetectionConfig, detect, explain
 from invarmine.evaluate import LabeledScores, standardized_pauc
 from invarmine.mining import MiningConfig, load_ruleset
 from invarmine.synth import planted_rule_data
+
+from oracles import reports_by_row_loop, write_reports_by_json_dumps
+
+# the package's `detect` name is the function, so reach the module by import
+detect_module = importlib.import_module("invarmine.detect")
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +218,11 @@ MALFORMED_RULE_FILES = {
     "rules not a list": lambda p: p.update(rules=5),
     "column_stats not an object": lambda p: p.update(column_stats=[]),
     "catalog_size out of range": lambda p: p.update(catalog_size=-1),
+    "theta above 1": lambda p: p.update(theta=1.5),
+    "theta true": lambda p: p.update(theta=True),
+    "gamma negative": lambda p: p.update(gamma=-3),
+    "max_set_size fractional": lambda p: p.update(max_set_size=2.5),
+    "max_set_size true": lambda p: p.update(max_set_size=True),
 }
 
 
@@ -391,6 +403,76 @@ def test_mutated_data_and_schema_keep_the_exit_code_contract(workdir, data):
         assert len(out.read_text().splitlines()) == rows
 
 
+@pytest.fixture(scope="module")
+def scored_table(workdir):
+    """A few hundred planted rows, some of them violated, and the row-loop
+    oracle's reports for them."""
+    test, _ = planted_rule_data(300, seed=53, violation_rate=0.2)
+    path = str(workdir["root"] / "scored.csv")
+    write_csv(test, path)
+    ruleset = load_ruleset(workdir["rules"])
+    dataset = load_csv(path, ruleset.schema.copy())
+    reference = reports_by_row_loop(ruleset, dataset, DetectionConfig())
+    assert sum(r.is_anomaly for r in reference) >= 10
+    return workdir["rules"], path, ruleset, reference
+
+
+def test_score_builds_no_per_row_report(scored_table, tmp_path, monkeypatch):
+    rules, path, ruleset, reference = scored_table
+    built = []
+
+    class CountingReport(detect_module.AnomalyReport):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(detect_module, "AnomalyReport", CountingReport)
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["score", "--rules", rules, "--data", path, "--out", str(out)]) == 1
+    assert built == []
+    expected = tmp_path / "expected.jsonl"
+    write_reports_by_json_dumps(reference, ruleset, str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_score_and_explain_give_the_benchmark_tracer_its_counts(scored_table, capsys, tmp_path, monkeypatch):
+    """The benchmark's tracer wraps cli.detect and cli.write_reports and
+    counts from what they return and write; the wrappers here take the
+    same counts and must find what the row-loop oracle finds."""
+    rules, path, ruleset, reference = scored_table
+    seen = {"detect": [], "write_reports": []}
+    real_detect, real_write = cli.detect, cli.write_reports
+
+    def traced_detect(*args, **kwargs):
+        reports = real_detect(*args, **kwargs)
+        seen["detect"].append(
+            (sum(len(r.violations) for r in reports), sum(1 for r in reports if r.is_anomaly))
+        )
+        return reports
+
+    def traced_write(*args, **kwargs):
+        result = real_write(*args, **kwargs)
+        seen["write_reports"].append(os.path.getsize(args[2]))
+        return result
+
+    monkeypatch.setattr(cli, "detect", traced_detect)
+    monkeypatch.setattr(cli, "write_reports", traced_write)
+    out = tmp_path / "report.jsonl"
+    assert cli.main(["score", "--rules", rules, "--data", path, "--out", str(out)]) == 1
+    flagged = sum(r.is_anomaly for r in reference)
+    assert capsys.readouterr().out == f"scored {len(reference)} rows: {flagged} anomalies (phi=0)\nwrote {out}\n"
+    row = next(r.row for r in reference if r.is_anomaly)
+    assert cli.main(["explain", "--rules", rules, "--data", path, "--row", str(row)]) == 0
+
+    expected = tmp_path / "expected.jsonl"
+    write_reports_by_json_dumps(reference, ruleset, str(expected))
+    assert seen["detect"] == [
+        (sum(len(r.violations) for r in reference), flagged),
+        (len(reference[row].violations), 1),
+    ]
+    assert seen["write_reports"] == [os.path.getsize(expected)]
+
+
 class TestExplain:
     def test_row_text_matches_detecting_the_whole_table(self, workdir, capsys):
         ruleset = load_ruleset(workdir["rules"])
@@ -504,6 +586,19 @@ class TestSweep:
                  "--out", str(tmp_path / "grid.csv")]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, kind", [("--theta-grid", "theta"), ("--gamma-grid", "gamma")])
+    def test_unparsable_grid_item_is_named(self, workdir, capsys, tmp_path, flag, kind):
+        grids = {"--theta-grid": "0.2", "--gamma-grid": "0.3"}
+        grids[flag] = "0.2, abc"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["sweep", "--train", workdir["train"], "--schema", workdir["schema"],
+                 "--data", workdir["test"], "--labels", workdir["labels"],
+                 *[a for pair in grids.items() for a in pair], "--out", str(tmp_path / "grid.csv")]
+            )
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: invalid {kind} value: 'abc'\n" in capsys.readouterr().err
 
 
 # every command's required arguments; no file is read before the arguments parse

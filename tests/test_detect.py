@@ -1,6 +1,7 @@
 """Scoring, threshold semantics, rule deactivation, and explanations."""
 
 import gc
+import importlib
 import json
 
 import numpy as np
@@ -36,6 +37,9 @@ from helpers import make_dataset, make_schema
 from oracles import reports_by_row_loop, write_reports_by_json_dumps
 
 INF = float("inf")
+
+# the package's `detect` name is the function, so reach the module by import
+detect_module = importlib.import_module("invarmine.detect")
 
 
 def envelope_ruleset():
@@ -243,10 +247,69 @@ class TestDetectReports:
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            detect(envelope_ruleset(), x_dataset([1.0, 50.0]), DetectionConfig())
+            reports = detect(envelope_ruleset(), x_dataset([1.0, 50.0]), DetectionConfig())
+            assert gc.isenabled() == enabled
+            assert len(list(reports)) == 2
             assert gc.isenabled() == enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+class TestReportsSequence:
+    """detect's return value works as a read-only list of AnomalyReport."""
+
+    @staticmethod
+    def reports_and_reference():
+        dataset = x_dataset([1.0, 50.0, 15.0, 7.0])
+        ruleset = envelope_ruleset()
+        config = DetectionConfig()
+        return detect(ruleset, dataset, config), reports_by_row_loop(ruleset, dataset, config)
+
+    def test_length_and_indexing(self):
+        reports, reference = self.reports_and_reference()
+        assert len(reports) == 4
+        assert reports[1] == reference[1]
+        assert reports[-1] == reference[3]
+        assert reports[-4] is reports[0]
+        assert reports[1:3] == reference[1:3]
+        with pytest.raises(IndexError):
+            reports[4]
+        with pytest.raises(IndexError):
+            reports[-5]
+
+    def test_equal_to_the_reference_list(self):
+        reports, reference = self.reports_and_reference()
+        assert reports == reference
+        assert reference == reports
+        assert reports != reference[:3]
+        assert reports != tuple(reference)
+
+    def test_every_access_returns_the_same_objects(self):
+        reports, _ = self.reports_and_reference()
+        first = list(reports)
+        assert all(a is b for a, b in zip(first, reports))
+        assert all(reports[i] is first[i] for i in range(len(first)))
+
+    def test_scores_are_read_only(self):
+        reports, _ = self.reports_and_reference()
+        assert reports.scores.tolist() == [0.0, 0.55, 0.3, 0.0]
+        assert reports.anomaly_count() == 2
+        with pytest.raises(ValueError):
+            reports.scores[0] = 1.0
+
+    def test_one_row_unpacks(self):
+        ruleset = envelope_ruleset()
+        (report,) = detect(ruleset, x_dataset([50.0]), DetectionConfig())
+        assert report.row == 0 and report.is_anomaly
+        assert explain(report, ruleset).row == 0
+
+    def test_empty_table(self, tmp_path):
+        ruleset = envelope_ruleset()
+        reports = detect(ruleset, x_dataset([]), DetectionConfig())
+        assert len(reports) == 0 and list(reports) == [] and reports.anomaly_count() == 0
+        path = tmp_path / "empty.jsonl"
+        write_reports(reports, ruleset, str(path))
+        assert path.read_bytes() == b""
 
 
 class TestExplain:
@@ -510,6 +573,20 @@ class TestMatchesRowLoopReference:
         text = (tmp_path / "ours.jsonl").read_text(encoding="utf-8")
         assert '\\u00e9' in text and '\\"hi\\"' in text and "back\\\\slash" in text
         assert [len(r.violations) for r in reports] == [0, 1, 0, 1, 2, 1]
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5], ids=["phi0", "phi0.5"])
+    @pytest.mark.parametrize("block", [1, 4, 5])
+    def test_table_spanning_writer_blocks(self, tmp_path, monkeypatch, block, phi):
+        monkeypatch.setattr(detect_module, "_WRITE_ROWS", block)
+        dataset = make_dataset(cont={"X": [x for x, _ in XY_ROWS], "Y": [y for _, y in XY_ROWS]})
+        ruleset = xy_ruleset(dataset.schema)
+        reports = self.check(ruleset, dataset, DetectionConfig(phi=phi), tmp_path)
+        violated = [r.row for r in reports if r.violations]
+        # violated rows on both sides of a block edge, in at least two blocks
+        assert any(r % block == block - 1 and r + 1 in violated for r in violated)
+        assert len({r // block for r in violated}) >= 2
+        if phi:
+            assert any(not r.is_anomaly for r in reports if r.violations)
 
     def test_no_row_violated(self, tmp_path):
         train, _ = planted_rule_data(300, seed=5)

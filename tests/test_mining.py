@@ -476,3 +476,25 @@ class TestRuleSetFiles:
         path.write_text("not json")
         with pytest.raises(DataError, match="not valid JSON"):
             load_ruleset(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("theta", 1.5, "theta must lie in (0, 1), got 1.5"),
+            ("theta", True, "theta must lie in (0, 1), got True"),
+            ("gamma", -3, "gamma must lie in [0, 1), got -3"),
+            ("max_set_size", 2.5, "max_set_size must be None or an integer >= 2, got 2.5"),
+            ("max_set_size", True, "max_set_size must be None or an integer >= 2, got True"),
+        ],
+    )
+    def test_load_checks_the_parameters(self, tmp_path, key, value, message):
+        import json
+
+        path = tmp_path / "rules.json"
+        save_ruleset(self.build(), str(path))
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError) as exc:
+            load_ruleset(str(path))
+        assert str(exc.value) == f"{path}: malformed rule file: {message}"
