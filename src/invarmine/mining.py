@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -46,6 +47,8 @@ from .data import (
 from .predicates import (
     CategoricalDisjunction,
     CategoricalEquals,
+    CompiledPredicates,
+    CompiledRules,
     Interval,
     Membership,
     Predicate,
@@ -124,8 +127,9 @@ def _tidsets(dataset: Dataset, catalog: PredicateCatalog) -> np.ndarray:
     """
     words = -(-dataset.row_count // 64)
     packed = np.zeros((len(catalog), 8 * words), dtype=np.uint8)
-    for i, p in enumerate(catalog.predicates):
-        bits = np.packbits(p.mask(dataset))
+    compiled = CompiledPredicates(catalog.predicates)
+    for i in range(len(catalog)):
+        bits = np.packbits(compiled.mask(i, dataset))
         packed[i, : bits.size] = bits
     return packed.view(np.uint64)
 
@@ -329,9 +333,14 @@ def boundary_rules(stats: ColumnStats, schema: Schema) -> list[InvariantRule]:
     return rules
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RuleSet:
-    """Everything needed to score new data and explain the outcome."""
+    """Everything needed to score new data and explain the outcome.
+
+    Frozen, with the rules kept as a tuple of frozen InvariantRules, so
+    the compiled form built on first use can never disagree with them:
+    other rules make another RuleSet (dataclasses.replace).
+    """
 
     schema: Schema
     stats: ColumnStats
@@ -339,7 +348,15 @@ class RuleSet:
     gamma: float
     max_set_size: int | None
     catalog: PredicateCatalog
-    rules: list[InvariantRule]
+    rules: tuple[InvariantRule, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
+
+    @cached_property
+    def compiled(self) -> CompiledRules:
+        """The rules compiled for scoring, built on first use and kept."""
+        return CompiledRules(self.rules)
 
     def rule_text(self, rule: InvariantRule) -> str:
         ant = ", ".join(p.render(self.schema) for p in rule.antecedent)

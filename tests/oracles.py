@@ -10,13 +10,51 @@ from itertools import combinations
 import numpy as np
 
 
+def holds_by_row(predicate, point):
+    """Whether predicate holds on one row (a DataPoint), spelled out per
+    kind with python comparisons: the reference for the compiled form."""
+    from invarmine.predicates import (
+        CategoricalDisjunction,
+        CategoricalEquals,
+        Interval,
+        Membership,
+        Range,
+    )
+
+    if isinstance(predicate, CategoricalEquals):
+        return point[predicate.column] == predicate.code
+    if isinstance(predicate, CategoricalDisjunction):
+        return any(point[column] == code for column, code in predicate.items)
+    if isinstance(predicate, Interval):
+        return predicate.lower <= point[predicate.column] < predicate.upper
+    if isinstance(predicate, Range):
+        return predicate.low <= point[predicate.column] <= predicate.high
+    if isinstance(predicate, Membership):
+        return point[predicate.column] in predicate.codes
+    raise TypeError(f"not a predicate: {predicate!r}")
+
+
 def support_by_rows(dataset, predicates):
-    """Support as a literal row scan over holds(), no vectorization."""
+    """Support as a literal row scan over holds_by_row, no vectorization."""
     hits = 0
     for point in dataset.iter_rows():
-        if all(p.holds(point) for p in predicates):
+        if all(holds_by_row(p, point) for p in predicates):
             hits += 1
     return hits / dataset.row_count
+
+
+def score_by_row(ruleset, point, ignore_rules=frozenset()):
+    """score_point the slow way: each active rule checked with holds_by_row,
+    the supports of the broken ones added in rule-id order."""
+    score = 0.0
+    for rid, rule in enumerate(ruleset.rules):
+        if rid in ignore_rules:
+            continue
+        if all(holds_by_row(p, point) for p in rule.antecedent) and not all(
+            holds_by_row(p, point) for p in rule.consequent
+        ):
+            score += rule.support
+    return score
 
 
 def frequent_sets_by_enumeration(dataset, catalog, theta, gamma, max_set_size):
@@ -318,10 +356,10 @@ def reports_by_row_loop(ruleset, dataset, config):
     n = dataset.row_count
     scores = np.zeros(n, dtype=np.float64)
     per_row = [[] for _ in range(n)]
-    for rid, rule, violated, failed in _violations(ruleset, dataset, config.ignore_rules):
+    for rid, rule, violated, consequent in _violations(ruleset, dataset, config.ignore_rules):
         np.add(scores, rule.support, out=scores, where=violated)
         for row in np.nonzero(violated)[0]:
-            hit = tuple(p for p, fm in failed if fm[row])
+            hit = tuple(p for p, held in consequent if not held[row])
             per_row[row].append(RuleViolation(rule_id=rid, rule=rule, failed=hit))
     return [
         AnomalyReport(

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -656,3 +657,54 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0
     assert "usage: invarmine" in proc.stdout
+
+
+def test_commands_print_only_their_documented_lines(tmp_path):
+    """train, score and explain as a separate process in development mode,
+    with every warning an error: standard output is exactly the lines the
+    README documents and nothing reaches standard error (no warning, log
+    line or unclosed-file ResourceWarning)."""
+    train, _ = planted_rule_data(400, seed=61)
+    test, _ = planted_rule_data(120, seed=62, violation_rate=0.2)
+    schema, train_csv, test_csv = tmp_path / "schema.json", tmp_path / "train.csv", tmp_path / "test.csv"
+    rules, report = tmp_path / "rules.json", tmp_path / "report.jsonl"
+    save_schema(train.schema, str(schema))
+    write_csv(train, str(train_csv))
+    write_csv(test, str(test_csv))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "invarmine", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.stderr == ""
+        return proc.returncode, proc.stdout.splitlines()
+
+    code, lines = run("train", "--data", str(train_csv), "--schema", str(schema),
+                      "--theta", "0.2", "--gamma", "0.3", "--out", str(rules))
+    assert code == 0
+    ruleset = load_ruleset(str(rules))
+    mined = sum(r.kind == mining.MINED for r in ruleset.rules)
+    assert lines[:3] == [
+        f"rows: {train.row_count}",
+        f"predicates: {len(ruleset.catalog)}",
+        f"rules: {mined} mined + {len(ruleset.rules) - mined} boundary = {len(ruleset.rules)}",
+    ]
+    stage = r"[a-z]+ \d+\.\d{3}s"
+    assert re.fullmatch(rf"timings: {stage}( \| {stage})* \| total \d+\.\d{{3}}s", lines[3])
+    assert lines[4:] == [f"wrote {rules}"]
+
+    dataset = load_csv(str(test_csv), ruleset.schema.copy())
+    reports = detect(ruleset, dataset, DetectionConfig())
+    flagged = reports.anomaly_count()
+    assert flagged > 0
+    code, lines = run("score", "--rules", str(rules), "--data", str(test_csv), "--out", str(report))
+    assert code == 1
+    assert lines == [f"scored {test.row_count} rows: {flagged} anomalies (phi=0)", f"wrote {report}"]
+
+    row = next(r.row for r in reports if r.is_anomaly)
+    code, lines = run("explain", "--rules", str(rules), "--data", str(test_csv), "--row", str(row))
+    assert code == 0
+    assert lines == explain(reports[row], ruleset).text().splitlines()

@@ -1,8 +1,10 @@
 """Scoring, threshold semantics, rule deactivation, and explanations."""
 
+import dataclasses
 import gc
 import importlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from invarmine.data import (
     ColumnStats,
     ContinuousStats,
     DataError,
+    DataPoint,
     Dataset,
     Schema,
     load_csv,
@@ -202,6 +205,95 @@ class TestDeactivation:
         for rid in range(len(ruleset.rules)):
             reduced = score_dataset(ruleset, dataset, frozenset({rid}))
             assert np.all(reduced <= base)
+
+
+class TestCompiledForm:
+    """A RuleSet compiles its rules once, and other rules never meet that compiled form."""
+
+    def test_compiled_once_per_ruleset(self):
+        ruleset = envelope_ruleset()
+        score_point(ruleset, x_dataset([50.0]).row(0))
+        assert ruleset.compiled is ruleset.compiled
+
+    def test_the_rules_cannot_change_in_place(self):
+        ruleset = envelope_ruleset()
+        score_point(ruleset, x_dataset([50.0]).row(0))
+        assert isinstance(ruleset.rules, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ruleset.rules = ruleset.rules[:1]
+        with pytest.raises(TypeError):
+            ruleset.rules[0] = ruleset.rules[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ruleset.rules[0].support = 0.5
+
+    def test_replaced_rules_are_scored_after_a_first_score(self):
+        ruleset = envelope_ruleset()
+        dataset = x_dataset([50.0, 15.0])
+        assert score_point(ruleset, dataset.row(0)) == 0.30 + 0.25
+        assert score_dataset(ruleset, dataset).tolist() == [0.30 + 0.25, 0.30]
+        second_only = dataclasses.replace(ruleset, rules=ruleset.rules[1:])
+        assert score_point(second_only, dataset.row(0)) == 0.25
+        assert score_dataset(second_only, dataset).tolist() == [0.25, 0.0]
+        wider = (Interval("X", -INF, 60.0),)
+        widened = dataclasses.replace(
+            ruleset, rules=[dataclasses.replace(r, consequent=wider) for r in ruleset.rules]
+        )
+        assert score_point(widened, dataset.row(0)) == 0.0
+        assert score_dataset(widened, dataset).tolist() == [0.0, 0.0]
+        # the first ruleset still scores its own rules
+        assert score_point(ruleset, dataset.row(0)) == 0.30 + 0.25
+
+    @pytest.mark.parametrize("atoms", [4, 1])
+    def test_a_scored_ruleset_pickles(self, atoms):
+        ruleset = envelope_ruleset()
+        if atoms == 1:
+            boundary = InvariantRule((), (Range("X", -3.0, 3.0),), 1.0, BOUNDARY)
+            ruleset = dataclasses.replace(ruleset, rules=[boundary])
+        assert len(ruleset.compiled.predicates.lo) == atoms
+        point = x_dataset([50.0]).row(0)
+        score = score_point(ruleset, point)
+        copy = pickle.loads(pickle.dumps(ruleset))
+        assert copy == ruleset
+        assert score_point(copy, point) == score > 0
+
+
+class TestPointInputs:
+    """What score_point needs from a point, and what it rejects."""
+
+    @staticmethod
+    def xy_rules():
+        schema = make_schema(cont=("X", "Y"))
+        return hand_ruleset(
+            schema,
+            [
+                InvariantRule((), (Range("X", -3.0, 3.0),), 1.0, BOUNDARY),
+                InvariantRule((Interval("X", 0.0, INF),), (Interval("Y", -INF, 1.0),), 0.25),
+            ],
+        )
+
+    def test_a_column_no_active_rule_reads_may_be_missing(self):
+        ruleset = envelope_ruleset()  # reads X only
+        assert score_point(ruleset, DataPoint({"X": 50.0})) == 0.30 + 0.25
+        assert score_point(ruleset, DataPoint({"X": 50.0, "Z": 1.0})) == 0.30 + 0.25
+        ruleset = self.xy_rules()
+        assert score_point(ruleset, DataPoint({"X": 5.0}), frozenset({1})) == 1.0
+
+    def test_a_missing_column_an_active_rule_reads_is_a_data_error(self):
+        ruleset = self.xy_rules()
+        with pytest.raises(DataError, match="unknown column 'Y'"):
+            score_point(ruleset, DataPoint({"X": 5.0}))
+        with pytest.raises(DataError, match="unknown column 'X'"):
+            score_point(ruleset, DataPoint({"Y": 5.0}), frozenset({1}))
+
+    def test_no_rules_score_every_point_zero(self):
+        ruleset = hand_ruleset(make_schema(cont=("X",)), [])
+        assert score_point(ruleset, DataPoint({})) == 0.0
+        assert score_dataset(ruleset, x_dataset([1.0, 99.0])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("rid", [2, -1, 99])
+    def test_an_out_of_range_ignore_id_is_a_data_error(self, rid):
+        with pytest.raises(DataError, match=f"no rule with id {rid}"):
+            score_point(self.xy_rules(), DataPoint({"X": 0.0, "Y": 0.0}), frozenset({rid}))
 
 
 class TestDetectReports:
@@ -587,6 +679,17 @@ class TestMatchesRowLoopReference:
         assert len({r // block for r in violated}) >= 2
         if phi:
             assert any(not r.is_anomaly for r in reports if r.violations)
+
+    def test_more_consequents_than_an_int64_has_bits(self, tmp_path):
+        # row X fails the consequents X < t for every t <= X: bits past 63 tell these rows apart
+        xs = [0.5, 62.5, 63.5, 64.5, 65.5, 69.5, 70.5, 64.5, 0.5]
+        dataset = x_dataset(xs)
+        cuts = [Interval("X", -INF, float(t)) for t in range(1, 71)]
+        ruleset = hand_ruleset(dataset.schema, [InvariantRule((), tuple(cuts), 0.5)])
+        reports = self.check(ruleset, dataset, DetectionConfig(), tmp_path)
+        failed = [len(r.violations[0].failed) if r.violations else 0 for r in reports]
+        assert failed == [0, 62, 63, 64, 65, 69, 70, 64, 0]
+        assert reports[3].violations[0] is reports[7].violations[0]
 
     def test_no_row_violated(self, tmp_path):
         train, _ = planted_rule_data(300, seed=5)

@@ -2,22 +2,26 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invarmine.data import DataError, support
+from invarmine.data import CATEGORICAL, CONTINUOUS, Column, ColumnStats, DataError, Dataset, Schema, support
+from invarmine.detect import score_dataset, score_point
+from invarmine.mining import InvariantRule, RuleSet
 from invarmine.predicates import (
     CategoricalDisjunction,
     CategoricalEquals,
+    CompiledRules,
     Interval,
     Membership,
+    PredicateCatalog,
     Range,
     gen_categorical_predicates,
     gen_continuous_predicates,
 )
 
 from helpers import make_dataset
-from oracles import support_by_rows
+from oracles import holds_by_row, score_by_row, support_by_rows
 
 INF = float("inf")
 
@@ -51,9 +55,10 @@ class TestEvaluation:
     def test_interval_is_half_open(self):
         dataset = make_dataset(cont={"X1": [7.0, 10.0, 5.0, 4.9]})
         p = Interval("X1", 5.0, 10.0)
-        assert p.mask(dataset).tolist() == [True, False, True, False]
-        assert p.holds(dataset.row(0)) is True
-        assert p.holds(dataset.row(1)) is False
+        mask = [True, False, True, False]
+        assert p.mask(dataset).tolist() == mask
+        rule = InvariantRule((), (p,), 1.0)
+        assert [CompiledRules([rule]).held({"X1": v})[0] for v in (7.0, 10.0, 5.0, 4.9)] == mask
 
     def test_range_is_closed(self):
         dataset = make_dataset(cont={"X1": [-3.0, 3.0, 3.1]})
@@ -83,46 +88,84 @@ class TestEvaluation:
             Membership("U1", frozenset())
 
 
+# interval and range ends: both infinities and both zeros among them
+BOUNDS = [-INF, -1.25, -0.0, 0.0, 0.75, 2.0, INF]
+# row values: every bound and the floats next to it on both sides (the
+# one just below an upper end is the last value an interval keeps; next
+# to the infinities are the extreme finite floats), and NaN.  Both zeros
+# stay: they are told apart by repr, not by ==.
+EDGES = [float(v) for b in BOUNDS for v in (b, np.nextafter(b, -INF), np.nextafter(b, INF))]
+VALUES = list({repr(v): v for v in EDGES}.values()) + [float("nan")]
+CODES = [0, 1, 2, 3]  # each categorical column's schema values; -1 is unseen
+
+
 @st.composite
-def predicate_over(draw, dataset):
-    kind = draw(st.sampled_from(["interval", "equals", "disjunction", "membership", "range"]))
-    if kind in ("interval", "range"):
-        bounds = [-INF, -1.25, 0.0, 0.75, 2.0, INF]
-        i = draw(st.integers(min_value=0, max_value=len(bounds) - 2))
-        j = draw(st.integers(min_value=i + 1, max_value=len(bounds) - 1))
-        if kind == "interval":
-            return Interval("X1", bounds[i], bounds[j])
-        lo = max(bounds[i], -1e6)
-        hi = min(bounds[j], 1e6)
-        return Range("X1", lo, hi)
-    codes = [0, 1, 2]
+def any_predicate(draw):
+    kind = draw(st.sampled_from(["interval", "range", "equals", "membership", "disjunction"]))
+    if kind == "interval":
+        return Interval("X1", *draw(st.sampled_from([(a, b) for a in BOUNDS for b in BOUNDS if a < b])))
+    if kind == "range":
+        return Range("X1", *draw(st.sampled_from([(a, b) for a in BOUNDS for b in BOUNDS if a <= b])))
+    column = draw(st.sampled_from(["U1", "U2"]))
     if kind == "equals":
-        return CategoricalEquals("U1", draw(st.sampled_from(codes)))
+        return CategoricalEquals(column, draw(st.sampled_from(CODES)))
     if kind == "membership":
-        picked = draw(st.sets(st.sampled_from(codes), min_size=1))
-        return Membership("U1", frozenset(picked))
-    first = draw(st.sampled_from(codes))
-    second = draw(st.sampled_from([c for c in codes if c != first]))
-    return CategoricalDisjunction((("U1", first), ("U1", second)))
+        return Membership(column, frozenset(draw(st.sets(st.sampled_from(CODES), min_size=1))))
+    branches = st.tuples(st.sampled_from(["U1", "U2"]), st.sampled_from(CODES))
+    return CategoricalDisjunction(tuple(draw(st.lists(branches, min_size=2, max_size=5, unique=True))))
 
 
 @st.composite
-def dataset_and_predicate(draw):
-    n = draw(st.integers(min_value=1, max_value=25))
-    x = draw(st.lists(st.sampled_from([-2.0, -1.25, 0.0, 0.75, 2.0]), min_size=n, max_size=n))
-    u = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
-    dataset = make_dataset(cont={"X1": x}, cat={"U1": u})
-    for v in ("a", "b", "c"):
-        dataset.schema.intern("U1", v)
-    return dataset, draw(predicate_over(dataset))
+def rules_and_rows(draw):
+    """A ruleset over X1, U1 and U2 with rules of every predicate kind,
+    a table of edge values and unseen codes, and rule ids to ignore."""
+    schema = Schema([
+        Column("X1", CONTINUOUS, []),
+        Column("U1", CATEGORICAL, ["a", "b", "c", "d"]),
+        Column("U2", CATEGORICAL, ["p", "q", "r", "s"]),
+    ])
+    predicates = draw(st.lists(any_predicate(), min_size=1, max_size=6, unique=True))
+    rules = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        picked = draw(st.permutations(predicates))
+        cut = draw(st.integers(min_value=0, max_value=len(picked) - 1))
+        end = draw(st.integers(min_value=cut + 1, max_value=len(picked)))
+        support = draw(st.sampled_from([0.1, 0.25, 0.3, 0.7, 1.0]))
+        rules.append(InvariantRule(tuple(picked[:cut]), tuple(picked[cut:end]), support))
+    n = draw(st.integers(min_value=1, max_value=20))
+    codes = st.lists(st.sampled_from([-1] + CODES), min_size=n, max_size=n)
+    dataset = Dataset(schema, {
+        "X1": np.array(draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n)), dtype=np.float64),
+        "U1": np.array(draw(codes), dtype=np.int64),
+        "U2": np.array(draw(codes), dtype=np.int64),
+    })
+    ruleset = RuleSet(
+        schema=schema,
+        stats=ColumnStats({}, {}),
+        theta=0.1,
+        gamma=0.0,
+        max_set_size=6,
+        catalog=PredicateCatalog([]),
+        rules=rules,
+    )
+    ignore = frozenset(draw(st.sets(st.integers(min_value=0, max_value=len(rules) - 1))))
+    return ruleset, dataset, ignore
 
 
-@given(dataset_and_predicate())
-def test_mask_agrees_with_holds_row_by_row(case):
-    dataset, predicate = case
-    mask = predicate.mask(dataset)
+@settings(max_examples=400)  # enough to meet each kind at each edge value
+@given(rules_and_rows())
+def test_compiled_point_and_batch_paths_agree_with_the_reference(case):
+    ruleset, dataset, ignore = case
+    compiled = ruleset.compiled.predicates
+    batch = score_dataset(ruleset, dataset, ignore)
     for i, point in enumerate(dataset.iter_rows()):
-        assert bool(mask[i]) == predicate.holds(point)
+        reference = [holds_by_row(p, point) for p in compiled.predicates]
+        assert ruleset.compiled.held(point.values).tolist() == reference + [True]
+        assert [bool(compiled.mask(k, dataset)[i]) for k in range(len(reference))] == reference
+        assert [bool(p.mask(dataset)[i]) for p in compiled.predicates] == reference
+        expected = score_by_row(ruleset, point, ignore)
+        assert score_point(ruleset, point, ignore) == expected
+        assert batch[i] == expected
 
 
 class TestCategoricalGeneration:
