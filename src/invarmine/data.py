@@ -255,10 +255,6 @@ class Dataset:
             values[col.name] = float(cell) if col.kind == CONTINUOUS else int(cell)
         return DataPoint(values)
 
-    def iter_rows(self):
-        for i in range(self.row_count):
-            yield self.row(i)
-
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.schema, {n: a[idx] for n, a in self._arrays.items()})

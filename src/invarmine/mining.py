@@ -15,12 +15,23 @@ row; a set's children are counted together with one AND and popcount
 over the rows of its candidate list, the later siblings that passed
 theta, which is exact because sigma(S + {i, j}) <= sigma(S + {j}).
 
-Frequent sets are then filtered to closed sets (no frequent superset
-within the mined collection has equal support), and every closed set
-is turned into rules by enumerating its minimal antecedents: the
-inclusion-minimal proper subsets whose support equals the support of
+That pass is the only place where predicate sets are counted.  It can
+record the row count of every set it finds above theta, singletons
+included, in a count table keyed by the ascending id tuple; every
+subset of such a set is above theta too, so it is in the table.
+
+Frequent sets are filtered to closed sets (no frequent superset within
+the mined collection has equal support) by a walk over subsets: each
+emitted T - {x} with T's support is not closed.  Every closed set S is
+then turned into rules by finding its minimal antecedents: the
+inclusion-minimal proper subsets whose row count equals the count of
 the whole set.  Each such antecedent implies the remaining predicates
-with confidence exactly 1 on the training data.
+with confidence exactly 1 on the training data.  Only members in D,
+the x with count(S - {x}) = count(S), can be left out of an
+antecedent: leaving out any other x drops to a subset of S - {x},
+whose count is larger.  So the search reads from the count table only
+the sets (S - D) + E, for proper subsets E of D, and skips S outright
+when D is empty.
 
 Boundary rules are built separately from column statistics: per-column
 envelopes with empty antecedent and support 1.
@@ -139,7 +150,7 @@ def mine_frequent_sets(
     catalog: PredicateCatalog,
     config: MiningConfig,
     *,
-    tidsets: np.ndarray | None = None,
+    counts: dict[tuple[int, ...], int] | None = None,
 ) -> list[FrequentSet]:
     """Enumerate all frequent predicate sets of size 2..max_set_size.
 
@@ -156,16 +167,19 @@ def mine_frequent_sets(
     it is not anti-monotone.  Output is sorted by size, then
     lexicographically by indices.
 
-    tidsets is the _tidsets matrix when the caller already has it.
-    Raises MiningError once the enumeration passes a fixed budget of
-    candidate checks.
+    counts, when given, is filled as the count table: the row count of
+    every set the pass finds above theta, emitted or not, keyed by its
+    ids; the singletons come from the root pass.  The check budget
+    bounds it, since each entry is one check.  Raises MiningError once
+    the enumeration passes a fixed budget of candidate checks.
     """
     n = dataset.row_count
     theta, gamma = config.theta, config.gamma
     cap = config.max_set_size if config.max_set_size is not None else len(catalog)
     singleton = catalog.supports
     out: list[FrequentSet] = []
-    tids = _tidsets(dataset, catalog) if tidsets is None else tidsets
+    table = {} if counts is None else counts
+    tids = _tidsets(dataset, catalog)
     checks = 0
 
     def passing(rows: np.ndarray, cand: np.ndarray) -> tuple[list[int], list[int]]:
@@ -176,19 +190,22 @@ def mine_frequent_sets(
                 f"frequent-set enumeration passed {_MAX_CANDIDATE_CHECKS} candidate checks; "
                 f"raise theta (now {theta}) or lower max_set_size (now {config.max_set_size})"
             )
-        counts = np.bitwise_count(rows).sum(axis=1).tolist()
-        return [k for k, c in enumerate(counts) if c / n > theta], counts
+        hits = np.bitwise_count(rows).sum(axis=1).tolist()
+        return [k for k, c in enumerate(hits) if c / n > theta], hits
 
     def extend(ids: list[int], tid: np.ndarray, min_member: float, cand: np.ndarray) -> None:
         rows = tids[cand] & tid
-        kept, counts = passing(rows, cand)
+        kept, hits = passing(rows, cand)
         later = cand[kept]
         for pos, (k, j) in enumerate(zip(kept, later.tolist())):
-            sup = counts[k] / n
+            count = hits[k]
+            sup = count / n
             new_min = min(min_member, singleton[j])
             ids.append(j)
+            key = tuple(ids)
+            table[key] = count
             if sup > max(theta, gamma * new_min):
-                out.append(FrequentSet(tuple(ids), sup))
+                out.append(FrequentSet(key, sup))
             if len(ids) < cap and pos + 1 < len(kept):
                 extend(ids, rows[k], new_min, later[pos + 1 :])
             ids.pop()
@@ -198,8 +215,9 @@ def mine_frequent_sets(
     # A root is extended when its cached support passes too; a root whose
     # count fails has no passing child either way.
     everything = np.arange(len(catalog))
-    kept, _ = passing(tids, everything)
+    kept, hits = passing(tids, everything)
     frequent = everything[kept]
+    table.update(((j,), hits[j]) for j in kept)
     for pos, j in enumerate(frequent.tolist()):
         if singleton[j] > theta:
             extend([j], tids[j], singleton[j], frequent[pos + 1 :])
@@ -214,24 +232,19 @@ def filter_closed(sets: list[FrequentSet]) -> list[FrequentSet]:
     Probing immediate supersets suffices: if some frequent superset has
     equal support, a minimal one does, and a minimal one is always one
     element larger (dropping any other extra element keeps the support
-    equal and the frequency floor can only fall).
+    equal and the frequency floor can only fall).  The probe runs from
+    the other end: each set T marks every T - {x} in the collection
+    with T's support as not closed, one lookup per member.
     """
-    table = {frozenset(s.ids): s.support for s in sets}
-    universe = sorted({i for s in sets for i in s.ids})
-    out: list[FrequentSet] = []
+    support_of = {s.ids: s.support for s in sets}
+    absorbed: set[tuple[int, ...]] = set()
     for s in sets:
-        base = frozenset(s.ids)
-        closed = True
-        for x in universe:
-            if x in base:
-                continue
-            sup = table.get(base | {x})
-            if sup is not None and sup == s.support:
-                closed = False
-                break
-        if closed:
-            out.append(s)
-    return out
+        ids = s.ids
+        for k in range(len(ids)):
+            sub = ids[:k] + ids[k + 1 :]
+            if support_of.get(sub) == s.support:
+                absorbed.add(sub)
+    return [s for s in sets if s.ids not in absorbed]
 
 
 @dataclass(frozen=True)
@@ -264,45 +277,60 @@ def generate_rules(
     dataset: Dataset,
     catalog: PredicateCatalog,
     *,
-    tidsets: np.ndarray | None = None,
+    counts: dict[tuple[int, ...], int] | None = None,
 ) -> list[InvariantRule]:
     """Emit one rule per minimal antecedent of each closed set.
 
-    An antecedent qualifies when its support equals the full set's
-    support (confidence exactly 1, compared as row counts so there is
-    no floating-point slack); it is kept only when no qualifying proper
-    subset of it exists.  tidsets is the _tidsets matrix when the caller
-    already has it.
+    An antecedent qualifies when its row count equals the full set's
+    (confidence exactly 1, with no floating-point slack); it is kept
+    only when no qualifying proper subset of it exists.  Each set's
+    rules come out by antecedent size, then antecedent ids.
+
+    counts is mine_frequent_sets' count table for the run that found
+    closed_sets; a count the search needs and the table lacks raises
+    MiningError.  Without a table, the counts are taken from the rows.
     """
-    packed = _tidsets(dataset, catalog) if tidsets is None else tidsets
-    # one bigint per row: many small ANDs are cheaper on ints than as numpy calls
-    tids = [int.from_bytes(row.tobytes(), "big") for row in packed]
+    if counts is None:
+        tids = _tidsets(dataset, catalog)
+
+        def count(ids: tuple[int, ...]) -> int:
+            return int(np.bitwise_count(np.bitwise_and.reduce(tids[list(ids)])).sum())
+
+    else:
+
+        def count(ids: tuple[int, ...]) -> int:
+            try:
+                return counts[ids]
+            except KeyError:
+                raise MiningError(f"the count table has no entry for predicate set {ids}") from None
+
+    predicates = catalog.predicates
     rules: list[InvariantRule] = []
     for s in closed_sets:
-        full_tid = tids[s.ids[0]]
-        for i in s.ids[1:]:
-            full_tid &= tids[i]
-        full_count = full_tid.bit_count()
+        ids = s.ids
+        full = count(ids)
+        # D: the members an antecedent may leave out
+        drop = [x for k, x in enumerate(ids) if count(ids[:k] + ids[k + 1 :]) == full]
+        if not drop:
+            continue
+        core = [x for x in ids if x not in drop]
         minimal: list[set[int]] = []
-        for size in range(1, len(s.ids)):
-            for ant in combinations(s.ids, size):
-                ant_set = set(ant)
-                if any(m <= ant_set for m in minimal):
+        for size in range(len(drop)):
+            for extra in combinations(drop, size):
+                ant = set(core).union(extra)
+                if not ant or any(m <= ant for m in minimal):
                     continue
-                tid = tids[ant[0]]
-                for i in ant[1:]:
-                    tid &= tids[i]
-                if tid.bit_count() == full_count:
-                    minimal.append(ant_set)
-                    rest = tuple(catalog.predicates[i] for i in s.ids if i not in ant_set)
-                    rules.append(
-                        InvariantRule(
-                            antecedent=tuple(catalog.predicates[i] for i in ant),
-                            consequent=rest,
-                            support=s.support,
-                            kind=MINED,
-                        )
-                    )
+                if count(tuple(sorted(ant))) == full:
+                    minimal.append(ant)
+        for ant_ids in sorted((tuple(sorted(a)) for a in minimal), key=lambda a: (len(a), a)):
+            rules.append(
+                InvariantRule(
+                    antecedent=tuple(predicates[i] for i in ant_ids),
+                    consequent=tuple(predicates[i] for i in ids if i not in ant_ids),
+                    support=s.support,
+                    kind=MINED,
+                )
+            )
     return rules
 
 
@@ -517,7 +545,23 @@ def load_ruleset(path: str) -> RuleSet:
         raise DataError(f"{path}: malformed rule file: {exc}") from None
 
 
+def _numbered_entries(payload: dict, key: str) -> list:
+    """payload[key], checked to be a list whose entries' ids are their
+    positions: rules and antecedents refer to entries by position."""
+    entries = payload[key]
+    if type(entries) is not list:
+        raise DataError(f"{key} must be a list, got {type(entries).__name__}")
+    for pos, entry in enumerate(entries):
+        eid = entry["id"]
+        if type(eid) is not int or eid != pos:
+            raise DataError(f"{key} entry {pos} has id {eid!r}, not its position {pos}")
+    return entries
+
+
 def _ruleset_from_json(payload: dict) -> RuleSet:
+    version = payload["version"]
+    if type(version) is not int or version != 1:
+        raise DataError(f"unsupported version {version!r}; this reader knows version 1")
     schema = Schema.from_dict(payload["schema"])
 
     continuous: dict[str, ContinuousStats] = {}
@@ -534,8 +578,9 @@ def _ruleset_from_json(payload: dict) -> RuleSet:
             categorical[name] = list(entry["seen"])
     stats = ColumnStats(continuous, categorical)
 
-    predicates = [_predicate_from_json(entry, schema) for entry in payload["predicates"]]
-    supports = [float(entry["support"]) for entry in payload["predicates"]]
+    pred_entries = _numbered_entries(payload, "predicates")
+    predicates = [_predicate_from_json(entry, schema) for entry in pred_entries]
+    supports = [float(entry["support"]) for entry in pred_entries]
 
     def predicate(index: object) -> Predicate:
         if type(index) is not int or not 0 <= index < len(predicates):
@@ -548,7 +593,7 @@ def _ruleset_from_json(payload: dict) -> RuleSet:
     catalog = PredicateCatalog(list(zip(predicates[:catalog_size], supports[:catalog_size])))
 
     rules = []
-    for entry in payload["rules"]:
+    for entry in _numbered_entries(payload, "rules"):
         rules.append(
             InvariantRule(
                 antecedent=tuple(predicate(i) for i in entry["antecedent"]),

@@ -15,7 +15,6 @@ from .data import Dataset, compute_column_stats
 from .mining import (
     MiningConfig,
     RuleSet,
-    _tidsets,
     boundary_rules,
     filter_closed,
     generate_rules,
@@ -64,8 +63,11 @@ def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
 
     Stages: column statistics; decision trees (one classification tree
     per categorical column, one regression tree per continuous column,
-    leaf floor |D| * theta); predicate catalogs; frequent-set mining and
-    closedness filtering; rule generation plus per-column boundary
+    leaf floor |D| * theta); predicate catalogs; frequent-set mining,
+    which also fills the count table with the row count of every set it
+    finds above theta, and closedness by a walk over each set's
+    immediate subsets; rule generation, which reads each closed set's
+    candidate antecedents from that table, plus per-column boundary
     rules.  Timings per stage are returned in seconds.
     """
     timings: dict[str, float] = {}
@@ -89,13 +91,13 @@ def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
     timings["predicates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tidsets = _tidsets(dataset, catalog)
-    frequent = mine_frequent_sets(dataset, catalog, config, tidsets=tidsets)
+    counts: dict[tuple[int, ...], int] = {}
+    frequent = mine_frequent_sets(dataset, catalog, config, counts=counts)
     closed = filter_closed(frequent)
     timings["mining"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rules = generate_rules(closed, dataset, catalog, tidsets=tidsets)
+    rules = generate_rules(closed, dataset, catalog, counts=counts)
     rules.extend(boundary_rules(stats, dataset.schema))
     timings["rules"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start

@@ -34,10 +34,16 @@ def holds_by_row(predicate, point):
     raise TypeError(f"not a predicate: {predicate!r}")
 
 
+def iter_rows(dataset):
+    """Every row of dataset as a DataPoint, in row order."""
+    for i in range(dataset.row_count):
+        yield dataset.row(i)
+
+
 def support_by_rows(dataset, predicates):
     """Support as a literal row scan over holds_by_row, no vectorization."""
     hits = 0
-    for point in dataset.iter_rows():
+    for point in iter_rows(dataset):
         if all(holds_by_row(p, point) for p in predicates):
             hits += 1
     return hits / dataset.row_count
@@ -130,6 +136,70 @@ def closed_by_full_scan(table):
         if not dominated:
             out[ids] = sup
     return out
+
+
+def closed_by_universe_probe(sets):
+    """filter_closed() as it stood before the count table, kept whole.
+
+    Every set probes each index of the collection's universe as the one
+    extra member of an equal-support superset."""
+    table = {frozenset(s.ids): s.support for s in sets}
+    universe = sorted({i for s in sets for i in s.ids})
+    out = []
+    for s in sets:
+        base = frozenset(s.ids)
+        closed = True
+        for x in universe:
+            if x in base:
+                continue
+            sup = table.get(base | {x})
+            if sup is not None and sup == s.support:
+                closed = False
+                break
+        if closed:
+            out.append(s)
+    return out
+
+
+def rules_by_subset_scan(closed_sets, dataset, catalog):
+    """generate_rules() as it stood before the count table, kept whole.
+
+    Each closed set's proper subsets are tried smallest first, each one
+    ANDed again over bigint tidsets; a subset with the full set's row
+    count and no such subset inside it is a minimal antecedent."""
+    from invarmine.mining import MINED, InvariantRule
+
+    tids = [
+        int.from_bytes(np.packbits(np.ascontiguousarray(p.mask(dataset))).tobytes(), "big")
+        for p in catalog.predicates
+    ]
+    rules = []
+    for s in closed_sets:
+        full_tid = tids[s.ids[0]]
+        for i in s.ids[1:]:
+            full_tid &= tids[i]
+        full_count = full_tid.bit_count()
+        minimal = []
+        for size in range(1, len(s.ids)):
+            for ant in combinations(s.ids, size):
+                ant_set = set(ant)
+                if any(m <= ant_set for m in minimal):
+                    continue
+                tid = tids[ant[0]]
+                for i in ant[1:]:
+                    tid &= tids[i]
+                if tid.bit_count() == full_count:
+                    minimal.append(ant_set)
+                    rest = tuple(catalog.predicates[i] for i in s.ids if i not in ant_set)
+                    rules.append(
+                        InvariantRule(
+                            antecedent=tuple(catalog.predicates[i] for i in ant),
+                            consequent=rest,
+                            support=s.support,
+                            kind=MINED,
+                        )
+                    )
+    return rules
 
 
 def roc_curve_by_recount(scores, labels):

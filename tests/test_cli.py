@@ -217,6 +217,13 @@ MALFORMED_RULE_FILES = {
     "missing rules": lambda p: p.pop("rules"),
     "missing predicates": lambda p: p.pop("predicates"),
     "rules not a list": lambda p: p.update(rules=5),
+    "rules an object": lambda p: p.update(rules={}),
+    "rules an empty string": lambda p: p.update(rules=""),
+    "predicates an object": lambda p: p.update(predicates={}),
+    "version 2": lambda p: p.update(version=2),
+    "rule id out of place": lambda p: p["rules"][0].update(id=1),
+    "rules reordered": lambda p: p["rules"].reverse(),
+    "predicate id out of place": lambda p: p["predicates"][-1].update(id=0),
     "column_stats not an object": lambda p: p.update(column_stats=[]),
     "catalog_size out of range": lambda p: p.update(catalog_size=-1),
     "theta above 1": lambda p: p.update(theta=1.5),

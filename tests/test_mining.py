@@ -1,12 +1,23 @@
 """Frequent-set mining, closedness, rule generation, and rule files."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from invarmine import mining
-from invarmine.data import ColumnStats, ContinuousStats, DataError, support
+from invarmine.data import (
+    CATEGORICAL,
+    Column,
+    ColumnStats,
+    ContinuousStats,
+    DataError,
+    Dataset,
+    Schema,
+    support,
+)
 from invarmine.mining import (
     BOUNDARY,
     MINED,
@@ -31,10 +42,16 @@ from invarmine.predicates import (
     PredicateCatalog,
     Range,
 )
-from invarmine.synth import random_mixed_dataset
+from invarmine.synth import planted_rule_data, random_mixed_dataset
 
 from helpers import build_catalog, make_dataset, make_schema, random_predicates
-from oracles import closed_by_full_scan, frequent_sets_by_dfs, frequent_sets_by_enumeration
+from oracles import (
+    closed_by_full_scan,
+    closed_by_universe_probe,
+    frequent_sets_by_dfs,
+    frequent_sets_by_enumeration,
+    rules_by_subset_scan,
+)
 
 INF = float("inf")
 
@@ -284,6 +301,31 @@ class TestRuleGeneration:
         ]
         assert all(len(r.consequent) == 2 for r in rules)
 
+    def test_the_count_table_gives_the_same_rules(self):
+        dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 6})
+        catalog = build_catalog(dataset, indicator_predicates(3))
+        counts = {}
+        closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts))
+        assert counts == {(0,): 4, (1,): 6, (2,): 7, (0, 1): 4, (0, 2): 4, (1, 2): 6, (0, 1, 2): 4}
+        rules = generate_rules(closed, dataset, catalog, counts=counts)
+        # {1} => {2} from the closed (1, 2), then {0} => {1, 2} from (0, 1, 2)
+        assert [r.antecedent for r in rules] == [(catalog.predicates[1],), (catalog.predicates[0],)]
+        assert generate_rules(closed, dataset, catalog) == rules
+
+    @pytest.mark.parametrize("missing", [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,)])
+    def test_a_missing_count_raises(self, missing):
+        # the one closed set (0, 1, 2) reads every entry: its own count, the
+        # three that put each member in D, and the three one-member antecedents
+        dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5})
+        catalog = build_catalog(dataset, indicator_predicates(3))
+        counts = {}
+        closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts))
+        assert [s.ids for s in closed] == [(0, 1, 2)]
+        assert len(counts) == 7
+        del counts[missing]
+        with pytest.raises(MiningError, match=rf"count table has no entry for predicate set {re.escape(str(missing))}$"):
+            generate_rules(closed, dataset, catalog, counts=counts)
+
     def test_rule_invariants_enforced(self):
         p = Interval("X1", -INF, 1.0)
         q = Interval("X1", 1.0, INF)
@@ -391,6 +433,75 @@ def test_generated_rules_have_confidence_one_and_minimal_antecedents(case):
                 assert not (a < b or b < a)
 
 
+@given(mining_instance())
+def test_count_table_path_matches_the_three_stage_reference(case):
+    """The pipeline's path (one enumeration filling the count table, closedness
+    by the subset walk, rules from each set's D) against the reference path:
+    the dfs miner, the universe probe and the bigint subset scan."""
+    dataset, catalog, theta, gamma, cap = case
+    config = MiningConfig(theta, gamma, cap)
+    counts = {}
+    frequent = mine_frequent_sets(dataset, catalog, config, counts=counts)
+    closed = filter_closed(frequent)
+    rules = generate_rules(closed, dataset, catalog, counts=counts)
+    ref_frequent = frequent_sets_by_dfs(dataset, catalog, config)
+    ref_closed = closed_by_universe_probe(ref_frequent)
+    assert (frequent, closed, rules) == (ref_frequent, ref_closed, rules_by_subset_scan(ref_closed, dataset, catalog))
+    assert generate_rules(closed, dataset, catalog) == rules
+
+
+@given(mining_instance())
+def test_count_table_holds_every_set_above_theta_with_its_row_count(case):
+    dataset, catalog, theta, gamma, cap = case
+    counts = {}
+    mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma, cap), counts=counts)
+    n = dataset.row_count
+    above_theta = set(frequent_sets_by_enumeration(dataset, catalog, theta, 0.0, cap))
+    above_theta |= {(i,) for i, p in enumerate(catalog.predicates) if support(dataset, [p]) > theta}
+    assert set(counts) == above_theta
+    for ids, count in counts.items():
+        assert count == round(support(dataset, [catalog.predicates[i] for i in ids]) * n)
+
+
+def wide_blocks(n_rows, seeds):
+    """planted_rule_data tables side by side, block b's columns suffixed _b."""
+    columns, data = [], {}
+    for b, seed in enumerate(seeds):
+        block, _ = planted_rule_data(n_rows, seed)
+        for col in block.schema.columns:
+            values = block.column(col.name).tolist()
+            if col.kind == CATEGORICAL:
+                values = [block.schema.value_of(col.name, code) for code in values]
+            columns.append(Column(f"{col.name}_{b}", col.kind, []))
+            data[f"{col.name}_{b}"] = values
+    return Dataset.from_columns(Schema(columns), data)
+
+
+def test_wide_rule_file_is_byte_identical_to_the_reference_path(tmp_path):
+    """Training on a wide table (three planted blocks) writes the same bytes as
+    a rule file whose mined rules come from the three-stage reference path."""
+    dataset = wide_blocks(2000, [0, 1, 2])
+    config = MiningConfig(0.1, 0.3)
+    trained = train_ruleset(dataset, config).ruleset
+    catalog = trained.catalog
+    closed = closed_by_universe_probe(mine_frequent_sets(dataset, catalog, config))
+    reference_rules = rules_by_subset_scan(closed, dataset, catalog)
+    reference_rules += boundary_rules(trained.stats, dataset.schema)
+    reference = RuleSet(
+        schema=dataset.schema.copy(),
+        stats=trained.stats,
+        theta=config.theta,
+        gamma=config.gamma,
+        max_set_size=config.max_set_size,
+        catalog=catalog,
+        rules=reference_rules,
+    )
+    assert sum(r.kind == MINED for r in reference.rules) > 100  # the case is not vacuous
+    save_ruleset(trained, str(tmp_path / "trained.json"))
+    save_ruleset(reference, str(tmp_path / "reference.json"))
+    assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
 class TestRuleSetFiles:
     def build(self):
         dataset = make_dataset(
@@ -494,6 +605,37 @@ class TestRuleSetFiles:
         save_ruleset(self.build(), str(path))
         payload = json.loads(path.read_text())
         payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError) as exc:
+            load_ruleset(str(path))
+        assert str(exc.value) == f"{path}: malformed rule file: {message}"
+
+    # each edit leaves a file that used to load and score against the wrong rules
+    SILENTLY_WRONG = {
+        "rules an object": (lambda p: p.update(rules={}), "rules must be a list, got dict"),
+        "rules a string": (lambda p: p.update(rules=""), "rules must be a list, got str"),
+        "predicates an object": (lambda p: p.update(predicates={}), "predicates must be a list, got dict"),
+        "version 2": (lambda p: p.update(version=2), "unsupported version 2; this reader knows version 1"),
+        "version true": (lambda p: p.update(version=True), "unsupported version True; this reader knows version 1"),
+        "rule id out of place": (
+            lambda p: p["rules"][1].update(id=2),
+            "rules entry 1 has id 2, not its position 1",
+        ),
+        "rules reordered": (lambda p: p["rules"].reverse(), "rules entry 0 has id 2, not its position 0"),
+        "predicate id out of place": (
+            lambda p: p["predicates"][0].update(id="0"),
+            "predicates entry 0 has id '0', not its position 0",
+        ),
+    }
+
+    @pytest.mark.parametrize("edit, message", SILENTLY_WRONG.values(), ids=SILENTLY_WRONG.keys())
+    def test_load_rejects_a_silently_wrong_file(self, tmp_path, edit, message):
+        import json
+
+        path = tmp_path / "rules.json"
+        save_ruleset(self.build(), str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError) as exc:
             load_ruleset(str(path))

@@ -21,7 +21,7 @@ from invarmine.predicates import (
 )
 
 from helpers import make_dataset
-from oracles import holds_by_row, score_by_row, support_by_rows
+from oracles import holds_by_row, iter_rows, score_by_row, support_by_rows
 
 INF = float("inf")
 
@@ -158,7 +158,7 @@ def test_compiled_point_and_batch_paths_agree_with_the_reference(case):
     ruleset, dataset, ignore = case
     compiled = ruleset.compiled.predicates
     batch = score_dataset(ruleset, dataset, ignore)
-    for i, point in enumerate(dataset.iter_rows()):
+    for i, point in enumerate(iter_rows(dataset)):
         reference = [holds_by_row(p, point) for p in compiled.predicates]
         assert ruleset.compiled.held(point.values).tolist() == reference + [True]
         assert [bool(compiled.mask(k, dataset)[i]) for k in range(len(reference))] == reference

@@ -1,13 +1,16 @@
 """Source checks that stand in for a lint step: no import goes unused, only
-the command-line module prints (the library reports through logging), and
-each parameter's range check lives in one module."""
+the command-line module prints (the library reports through logging), each
+parameter's range check lives in one module, and the shipped code parses at
+the oldest Python that pyproject.toml admits."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "invarmine"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "invarmine"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
 LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py")
 
@@ -100,3 +103,30 @@ CHECK_HOMES = {
 def test_each_parameter_is_checked_in_one_module(message):
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert modules_with_literal(message, sources) == [CHECK_HOMES[message]]
+
+
+def python_floor(pyproject: str) -> tuple[int, int]:
+    """The (major, minor) of a requires-python = ">=X.Y" line."""
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject, re.MULTILINE)
+    assert found, "pyproject.toml states no requires-python floor"
+    return int(found.group(1)), int(found.group(2))
+
+
+FLOOR = python_floor((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+SHIPPED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+
+def test_the_floor_scan_reads_requires_python():
+    assert python_floor('[project]\nname = "x"\nrequires-python = ">=3.9"\n') == (3, 9)
+
+
+def test_the_floor_parse_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11 exception groups
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[f"{p.parent.name}/{p.name}" for p in SHIPPED])
+def test_source_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
