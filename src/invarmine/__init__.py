@@ -21,7 +21,6 @@ from .data import (
     load_labels,
     load_schema,
     save_schema,
-    support,
     write_csv,
 )
 from .detect import (
@@ -138,7 +137,6 @@ __all__ = [
     "score_dataset",
     "score_point",
     "standardized_pauc",
-    "support",
     "sweep",
     "train_ruleset",
     "tune_theta",

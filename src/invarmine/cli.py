@@ -10,7 +10,9 @@ import argparse
 import json
 import sys
 
-from .data import load_csv, load_labels, load_schema
+import numpy as np
+
+from .data import Dataset, load_csv, load_labels, load_schema
 from .detect import DetectionConfig, check_phi, detect, explain, score_dataset, write_reports
 from .evaluate import (
     LabeledScores,
@@ -186,14 +188,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _labels_for(path: str, dataset: Dataset) -> np.ndarray:
+    """The labels file at path, one label per row of dataset."""
+    labels = load_labels(path)
+    if len(labels) != dataset.row_count:
+        raise ValueError(f"label count {len(labels)} does not match row count {dataset.row_count}")
+    return labels
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ruleset = load_ruleset(args.rules)
     dataset = load_csv(args.data, ruleset.schema.copy())
-    labels = load_labels(args.labels)
-    if len(labels) != dataset.row_count:
-        raise ValueError(
-            f"label count {len(labels)} does not match row count {dataset.row_count}"
-        )
+    labels = _labels_for(args.labels, dataset)
     ls = LabeledScores(score_dataset(ruleset, dataset), labels)
     prf = prf1_at_threshold(ls, args.phi)
     metrics = {
@@ -214,11 +220,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
     train = load_csv(args.train, schema)
     test = load_csv(args.data, schema)
-    labels = load_labels(args.labels)
-    if len(labels) != test.row_count:
-        raise ValueError(
-            f"label count {len(labels)} does not match row count {test.row_count}"
-        )
+    labels = _labels_for(args.labels, test)
     result = sweep(
         train,
         test,

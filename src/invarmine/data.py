@@ -1,4 +1,4 @@
-"""Tabular dataset ingestion, column statistics, and predicate-set support.
+"""Tabular dataset ingestion and column statistics.
 
 Datasets are column-oriented: continuous columns are float64 arrays,
 categorical columns are int64 code arrays backed by a per-column value
@@ -181,21 +181,6 @@ class DataPoint:
             raise DataError(f"unknown column {name!r}") from None
 
 
-def _provisional_code(schema: Schema, name: str, value: str, new: dict[str, int]) -> int:
-    """value's code in column name, or the code intern() will give it once
-    the caller has checked everything; new collects those values in order."""
-    code = schema.code_for(name, value)
-    if code is None:
-        code = new.setdefault(value, len(schema.column(name).values) + len(new))
-    return code
-
-
-def _intern_unseen(schema: Schema, unseen: dict[str, dict[str, int]]) -> None:
-    for name, new in unseen.items():
-        for value in new:
-            schema.intern(name, value)
-
-
 class Dataset:
     """A fixed table over a schema; columns are numpy arrays."""
 
@@ -217,6 +202,7 @@ class Dataset:
         has been checked, so a failed build leaves the schema unchanged.
         """
         arrays: dict[str, np.ndarray] = {}
+        # values the schema lacks, with the codes intern() will give them
         unseen: dict[str, dict[str, int]] = {}
         for col in schema.columns:
             raw = columns[col.name]
@@ -233,11 +219,16 @@ class Dataset:
                     value = str(v)
                     code = code_of.get(value)
                     if code is None:
-                        code = code_of[value] = _provisional_code(schema, col.name, value, new)
+                        code = schema.code_for(col.name, value)
+                        if code is None:
+                            code = new[value] = len(col.values) + len(new)
+                        code_of[value] = code
                     codes.append(code)
                 arrays[col.name] = np.asarray(codes, dtype=np.int64)
         dataset = cls(schema, arrays)
-        _intern_unseen(schema, unseen)
+        for name, new in unseen.items():
+            for value in new:
+                schema.intern(name, value)
         return dataset
 
     def column(self, name: str) -> np.ndarray:
@@ -434,7 +425,8 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
 
 def _load_rows(path: str, schema: Schema) -> Dataset:
     """load_csv's row parser: csv.reader and float() cell by cell.  It
-    takes any file and words every DataError."""
+    takes any file and words every DataError; Dataset.from_columns codes
+    the categorical values once every row has parsed."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -454,10 +446,9 @@ def _load_rows(path: str, schema: Schema) -> Dataset:
 
         cont_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CONTINUOUS]
         cat_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CATEGORICAL]
-        cont_data: dict[str, list[float]] = {n: [] for n, _ in cont_cols}
-        cat_data: dict[str, list[int]] = {n: [] for n, _ in cat_cols}
-        # values the schema lacks, with the codes intern() will give them
-        unseen: dict[str, dict[str, int]] = {n: {} for n, _ in cat_cols}
+        columns: dict[str, list] = {n: [] for n in schema.names}
+        # one string object per distinct value, however many cells repeat it
+        distinct: dict[str, str] = {}
 
         width = max(positions[n] for n in schema.names) + 1
         i = -1
@@ -475,24 +466,18 @@ def _load_rows(path: str, schema: Schema) -> Dataset:
                         raise DataError(f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number") from None
                     if not math.isfinite(value):
                         raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
-                    cont_data[name].append(value)
+                    columns[name].append(value)
                 for name, pos in cat_cols:
                     cell = record[pos]
                     if cell == "":
                         raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-                    cat_data[name].append(_provisional_code(schema, name, cell, unseen[name]))
+                    columns[name].append(distinct.setdefault(cell, cell))
         except csv.Error as exc:
             raise DataError(f"{path}: row {i + 1}: {exc}") from None
 
-    arrays: dict[str, np.ndarray] = {}
-    for name, _ in cont_cols:
-        arrays[name] = np.asarray(cont_data[name], dtype=np.float64)
-    for name, _ in cat_cols:
-        arrays[name] = np.asarray(cat_data[name], dtype=np.int64)
-    if not arrays or len(next(iter(arrays.values()))) == 0:
+    if i < 0:
         raise DataError(f"{path}: no data rows")
-    _intern_unseen(schema, unseen)
-    return Dataset(schema, arrays)
+    return Dataset.from_columns(schema, columns)
 
 
 def format_number(value: float) -> str:
@@ -576,17 +561,3 @@ def load_labels(path: str) -> np.ndarray:
     if not labels:
         raise DataError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)
-
-
-def support(dataset: Dataset, predicates) -> float:
-    """Fraction of rows on which every predicate in the set holds.
-
-    The empty set has support 1.  Rows are a multiset: duplicates count
-    separately.
-    """
-    if dataset.row_count == 0:
-        raise DataError("support is undefined on an empty dataset")
-    mask = np.ones(dataset.row_count, dtype=bool)
-    for p in predicates:
-        mask &= p.mask(dataset)
-    return int(np.count_nonzero(mask)) / dataset.row_count

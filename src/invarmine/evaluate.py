@@ -176,13 +176,14 @@ def sweep(
     gamma_grid: list[float],
     max_set_size: int | None = 6,
     max_fpr: float = 0.1,
-    phi: float = 0.0,
 ) -> SweepResult:
     """Retrain and evaluate on every (theta, gamma) grid cell.
 
-    A cell that fails (for instance an out-of-range hyperparameter)
-    records its error and the sweep moves on.  gamma = 0 is admitted:
-    the rarest-member term of the frequency floor simply vanishes.
+    Precision, recall and F1 take phi = 0, as tune_theta does: a row is
+    predicted anomalous when it breaks any rule.  A cell that fails (for
+    instance an out-of-range hyperparameter) records its error and the
+    sweep moves on.  gamma = 0 is admitted: the rarest-member term of the
+    frequency floor simply vanishes.
     """
     cells: list[SweepCell] = []
     for theta in theta_grid:
@@ -192,7 +193,7 @@ def sweep(
                 result = train_ruleset(train, MiningConfig(theta, gamma, max_set_size))
                 scores = score_dataset(result.ruleset, test)
                 ls = LabeledScores(scores, labels)
-                prf = prf1_at_threshold(ls, phi)
+                prf = prf1_at_threshold(ls, 0.0)
                 cell.rule_count = len(result.ruleset.rules)
                 cell.auc = roc_auc(ls)
                 cell.pauc = standardized_pauc(ls, max_fpr)

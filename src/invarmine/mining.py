@@ -274,10 +274,8 @@ class InvariantRule:
 
 def generate_rules(
     closed_sets: list[FrequentSet],
-    dataset: Dataset,
     catalog: PredicateCatalog,
-    *,
-    counts: dict[tuple[int, ...], int] | None = None,
+    counts: dict[tuple[int, ...], int],
 ) -> list[InvariantRule]:
     """Emit one rule per minimal antecedent of each closed set.
 
@@ -288,21 +286,14 @@ def generate_rules(
 
     counts is mine_frequent_sets' count table for the run that found
     closed_sets; a count the search needs and the table lacks raises
-    MiningError.  Without a table, the counts are taken from the rows.
+    MiningError.
     """
-    if counts is None:
-        tids = _tidsets(dataset, catalog)
 
-        def count(ids: tuple[int, ...]) -> int:
-            return int(np.bitwise_count(np.bitwise_and.reduce(tids[list(ids)])).sum())
-
-    else:
-
-        def count(ids: tuple[int, ...]) -> int:
-            try:
-                return counts[ids]
-            except KeyError:
-                raise MiningError(f"the count table has no entry for predicate set {ids}") from None
+    def count(ids: tuple[int, ...]) -> int:
+        try:
+            return counts[ids]
+        except KeyError:
+            raise MiningError(f"the count table has no entry for predicate set {ids}") from None
 
     predicates = catalog.predicates
     rules: list[InvariantRule] = []
@@ -361,7 +352,7 @@ def boundary_rules(stats: ColumnStats, schema: Schema) -> list[InvariantRule]:
     return rules
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RuleSet:
     """Everything needed to score new data and explain the outcome.
 
@@ -390,19 +381,6 @@ class RuleSet:
         ant = ", ".join(p.render(self.schema) for p in rule.antecedent)
         con = ", ".join(p.render(self.schema) for p in rule.consequent)
         return f"{{{ant}}} => {{{con}}}"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RuleSet):
-            return NotImplemented
-        return (
-            self.schema == other.schema
-            and self.stats == other.stats
-            and self.theta == other.theta
-            and self.gamma == other.gamma
-            and self.max_set_size == other.max_set_size
-            and self.catalog.pairs() == other.catalog.pairs()
-            and self.rules == other.rules
-        )
 
 
 def _bound_to_json(v: float) -> float | None:
@@ -601,6 +579,12 @@ def _ruleset_from_json(payload: dict) -> RuleSet:
                 support=float(entry["support"]),
                 kind=entry["kind"],
             )
+        )
+    # training writes one boundary rule per column; a file short of one scores that column unchecked
+    bounded = {c for r in rules if r.kind == BOUNDARY for p in r.consequent for c in p.columns()}
+    if bounded != set(schema.names):
+        raise DataError(
+            f"boundary rules bound columns {sorted(bounded)}, not the schema's {sorted(schema.names)}"
         )
 
     theta, gamma, max_set_size = payload["theta"], payload["gamma"], payload["max_set_size"]

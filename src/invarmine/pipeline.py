@@ -35,7 +35,6 @@ class TrainResult:
     ruleset: RuleSet
     timings: dict[str, float]
     warnings: list[str]
-    trees: list[DecisionTree]
 
 
 def _fit_trees(dataset: Dataset, min_leaf: int) -> tuple[list[DecisionTree], list[str]]:
@@ -97,7 +96,7 @@ def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
     timings["mining"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rules = generate_rules(closed, dataset, catalog, counts=counts)
+    rules = generate_rules(closed, catalog, counts)
     rules.extend(boundary_rules(stats, dataset.schema))
     timings["rules"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
@@ -111,4 +110,4 @@ def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
         catalog=catalog,
         rules=rules,
     )
-    return TrainResult(ruleset=ruleset, timings=timings, warnings=warnings, trees=trees)
+    return TrainResult(ruleset=ruleset, timings=timings, warnings=warnings)

@@ -328,6 +328,9 @@ class PredicateCatalog:
     def pairs(self) -> list[tuple[Predicate, float]]:
         return list(zip(self.predicates, self.supports))
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PredicateCatalog) and self.pairs() == other.pairs()
+
     @classmethod
     def concat(cls, *catalogs: "PredicateCatalog") -> "PredicateCatalog":
         pairs: list[tuple[Predicate, float]] = []

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from invarmine.data import CATEGORICAL, CONTINUOUS, Column, Dataset, Schema, support
+from invarmine.data import CATEGORICAL, CONTINUOUS, Column, DataError, Dataset, Schema
 from invarmine.predicates import (
     CategoricalDisjunction,
     CategoricalEquals,
@@ -26,6 +26,20 @@ def make_dataset(cont=None, cat=None):
     data = {n: list(v) for n, v in cont.items()}
     data.update({n: list(v) for n, v in cat.items()})
     return Dataset.from_columns(schema, data)
+
+
+def support(dataset, predicates):
+    """Fraction of rows on which every predicate in the set holds.
+
+    The empty set has support 1.  Rows are a multiset: duplicates count
+    separately.
+    """
+    if dataset.row_count == 0:
+        raise DataError("support is undefined on an empty dataset")
+    mask = np.ones(dataset.row_count, dtype=bool)
+    for p in predicates:
+        mask &= p.mask(dataset)
+    return int(np.count_nonzero(mask)) / dataset.row_count
 
 
 def build_catalog(dataset, predicates):

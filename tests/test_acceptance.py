@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from invarmine.data import support
 from invarmine.detect import DetectionConfig, detect, explain, score_dataset
 from invarmine.evaluate import (
     LabeledScores,
@@ -326,9 +325,10 @@ def test_07_hyperparameter_monotonicity():
     rule_counts = {}
     for theta in thetas:
         for gamma in gammas:
-            mined = mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma))
+            counts = {}
+            mined = mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma), counts=counts)
             closed = filter_closed(mined)
-            rules = generate_rules(closed, dataset, catalog)
+            rules = generate_rules(closed, catalog, counts)
             frequent_counts[(theta, gamma)] = len(mined)
             closed_counts[(theta, gamma)] = len(closed)
             rule_counts[(theta, gamma)] = len(rules)

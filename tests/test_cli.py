@@ -231,6 +231,9 @@ MALFORMED_RULE_FILES = {
     "gamma negative": lambda p: p.update(gamma=-3),
     "max_set_size fractional": lambda p: p.update(max_set_size=2.5),
     "max_set_size true": lambda p: p.update(max_set_size=True),
+    "rules empty": lambda p: p.update(rules=[]),
+    # the last rule is the last column's boundary rule; popping it keeps the ids positional
+    "last boundary rule dropped": lambda p: p["rules"].pop(),
 }
 
 

@@ -23,13 +23,12 @@ from invarmine.data import (
     load_labels,
     load_schema,
     save_schema,
-    support,
     write_csv,
 )
 from invarmine.predicates import CategoricalEquals, Interval
 from invarmine.synth import planted_rule_data
 
-from helpers import make_dataset, make_schema, write_text
+from helpers import make_dataset, make_schema, support, write_text
 from oracles import load_csv_by_rows
 
 

@@ -1,6 +1,7 @@
 """Frequent-set mining, closedness, rule generation, and rule files."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from invarmine.data import (
     DataError,
     Dataset,
     Schema,
-    support,
 )
 from invarmine.mining import (
     BOUNDARY,
@@ -44,7 +44,7 @@ from invarmine.predicates import (
 )
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
-from helpers import build_catalog, make_dataset, make_schema, random_predicates
+from helpers import build_catalog, make_dataset, make_schema, random_predicates, support
 from oracles import (
     closed_by_full_scan,
     closed_by_universe_probe,
@@ -67,6 +67,13 @@ def indicator_dataset(n, *row_sets):
 
 def indicator_predicates(count):
     return [Interval(f"X{i + 1}", -INF, 1.0) for i in range(count)]
+
+
+def count_table(dataset, catalog):
+    """mine_frequent_sets' count table at theta 0.1 for hand-built closed sets."""
+    counts = {}
+    mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts)
+    return counts
 
 
 class TestConfig:
@@ -263,8 +270,9 @@ class TestRuleGeneration:
         # p1 rows strictly inside p2 rows: sigma(p1) = sigma(pair)
         dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5})
         catalog = build_catalog(dataset, indicator_predicates(2))
-        closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0)))
-        rules = generate_rules(closed, dataset, catalog)
+        counts = {}
+        closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts))
+        rules = generate_rules(closed, catalog, counts)
         assert rules == [
             InvariantRule(
                 antecedent=(catalog.predicates[0],),
@@ -278,13 +286,13 @@ class TestRuleGeneration:
         dataset = indicator_dataset(10, {0, 1, 2, 3, 4, 5}, {2, 3, 4, 5, 6, 7})
         catalog = build_catalog(dataset, indicator_predicates(2))
         closed = [FrequentSet((0, 1), 0.4)]
-        assert generate_rules(closed, dataset, catalog) == []
+        assert generate_rules(closed, catalog, count_table(dataset, catalog)) == []
 
     def test_non_minimal_antecedents_suppressed_in_triples(self):
         dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 6})
         catalog = build_catalog(dataset, indicator_predicates(3))
         closed = [FrequentSet((0, 1, 2), 0.4)]
-        rules = generate_rules(closed, dataset, catalog)
+        rules = generate_rules(closed, catalog, count_table(dataset, catalog))
         assert len(rules) == 1
         assert rules[0].antecedent == (catalog.predicates[0],)
         assert rules[0].consequent == (catalog.predicates[1], catalog.predicates[2])
@@ -294,7 +302,7 @@ class TestRuleGeneration:
         dataset = indicator_dataset(10, shared, shared, {0, 1, 2, 3, 4, 5})
         catalog = build_catalog(dataset, indicator_predicates(3))
         closed = [FrequentSet((0, 1, 2), 0.4)]
-        rules = generate_rules(closed, dataset, catalog)
+        rules = generate_rules(closed, catalog, count_table(dataset, catalog))
         assert [r.antecedent for r in rules] == [
             (catalog.predicates[0],),
             (catalog.predicates[1],),
@@ -307,10 +315,9 @@ class TestRuleGeneration:
         counts = {}
         closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts))
         assert counts == {(0,): 4, (1,): 6, (2,): 7, (0, 1): 4, (0, 2): 4, (1, 2): 6, (0, 1, 2): 4}
-        rules = generate_rules(closed, dataset, catalog, counts=counts)
+        rules = generate_rules(closed, catalog, counts)
         # {1} => {2} from the closed (1, 2), then {0} => {1, 2} from (0, 1, 2)
         assert [r.antecedent for r in rules] == [(catalog.predicates[1],), (catalog.predicates[0],)]
-        assert generate_rules(closed, dataset, catalog) == rules
 
     @pytest.mark.parametrize("missing", [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,)])
     def test_a_missing_count_raises(self, missing):
@@ -324,7 +331,7 @@ class TestRuleGeneration:
         assert len(counts) == 7
         del counts[missing]
         with pytest.raises(MiningError, match=rf"count table has no entry for predicate set {re.escape(str(missing))}$"):
-            generate_rules(closed, dataset, catalog, counts=counts)
+            generate_rules(closed, catalog, counts)
 
     def test_rule_invariants_enforced(self):
         p = Interval("X1", -INF, 1.0)
@@ -416,8 +423,9 @@ def test_closed_filter_matches_full_superset_scan(case):
 @given(mining_instance())
 def test_generated_rules_have_confidence_one_and_minimal_antecedents(case):
     dataset, catalog, theta, gamma, cap = case
-    closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma, cap)))
-    rules = generate_rules(closed, dataset, catalog)
+    counts = {}
+    closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma, cap), counts=counts))
+    rules = generate_rules(closed, catalog, counts)
     for rule in rules:
         whole = support(dataset, rule.antecedent + rule.consequent)
         assert support(dataset, rule.antecedent) == whole
@@ -443,11 +451,10 @@ def test_count_table_path_matches_the_three_stage_reference(case):
     counts = {}
     frequent = mine_frequent_sets(dataset, catalog, config, counts=counts)
     closed = filter_closed(frequent)
-    rules = generate_rules(closed, dataset, catalog, counts=counts)
+    rules = generate_rules(closed, catalog, counts)
     ref_frequent = frequent_sets_by_dfs(dataset, catalog, config)
     ref_closed = closed_by_universe_probe(ref_frequent)
     assert (frequent, closed, rules) == (ref_frequent, ref_closed, rules_by_subset_scan(ref_closed, dataset, catalog))
-    assert generate_rules(closed, dataset, catalog) == rules
 
 
 @given(mining_instance())
@@ -536,6 +543,12 @@ class TestRuleSetFiles:
                 support=1.0,
                 kind=BOUNDARY,
             ),
+            InvariantRule(
+                antecedent=(),
+                consequent=(Membership("U2", frozenset({0, 1})),),
+                support=1.0,
+                kind=BOUNDARY,
+            ),
         ]
         stats = ColumnStats(
             continuous={"X1": ContinuousStats(4.5, 3.2, 1.0, 9.0)},
@@ -557,6 +570,9 @@ class TestRuleSetFiles:
         save_ruleset(ruleset, path)
         again = load_ruleset(path)
         assert again == ruleset
+        assert again != replace(ruleset, catalog=PredicateCatalog(ruleset.catalog.pairs()[:-1]))
+        with pytest.raises(TypeError):
+            hash(again)
         assert again.max_set_size is None
         assert again.stats.continuous == ruleset.stats.continuous
         assert again.stats.categorical == ruleset.stats.categorical
@@ -621,7 +637,7 @@ class TestRuleSetFiles:
             lambda p: p["rules"][1].update(id=2),
             "rules entry 1 has id 2, not its position 1",
         ),
-        "rules reordered": (lambda p: p["rules"].reverse(), "rules entry 0 has id 2, not its position 0"),
+        "rules reordered": (lambda p: p["rules"].reverse(), "rules entry 0 has id 3, not its position 0"),
         "predicate id out of place": (
             lambda p: p["predicates"][0].update(id="0"),
             "predicates entry 0 has id '0', not its position 0",

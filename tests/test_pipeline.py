@@ -51,7 +51,6 @@ class TestTraining:
             "column 'U1': no continuous columns to split on; tree skipped",
             "column 'U2': no continuous columns to split on; tree skipped",
         ]
-        assert result.trees == []
         kinds = {r.kind for r in result.ruleset.rules}
         assert BOUNDARY in kinds
         assert score_dataset(result.ruleset, dataset).max() == 0.0

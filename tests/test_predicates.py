@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invarmine.data import CATEGORICAL, CONTINUOUS, Column, ColumnStats, DataError, Dataset, Schema, support
+from invarmine.data import CATEGORICAL, CONTINUOUS, Column, ColumnStats, DataError, Dataset, Schema
 from invarmine.detect import score_dataset, score_point
 from invarmine.mining import InvariantRule, RuleSet
 from invarmine.predicates import (
@@ -20,7 +20,7 @@ from invarmine.predicates import (
     gen_continuous_predicates,
 )
 
-from helpers import make_dataset
+from helpers import make_dataset, support
 from oracles import holds_by_row, iter_rows, score_by_row, support_by_rows
 
 INF = float("inf")

@@ -1,7 +1,8 @@
-"""Source checks that stand in for a lint step: no import goes unused, only
-the command-line module prints (the library reports through logging), each
-parameter's range check lives in one module, and the shipped code parses at
-the oldest Python that pyproject.toml admits."""
+"""Source checks that stand in for a lint step: no import goes unused, the
+package exports exactly what its __init__ imports, only the command-line
+module prints (the library reports through logging), each parameter's
+range check lives in one module, and the shipped code parses at the
+oldest Python that pyproject.toml admits."""
 
 import ast
 import re
@@ -47,6 +48,28 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def export_mismatch(source: str) -> tuple[list[str], list[str]]:
+    """Names a package's __init__ imports but leaves out of __all__, and
+    names its __all__ lists but never imports."""
+    imported: set[str] = set()
+    listed: set[str] = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            listed.update(ast.literal_eval(node.value))
+    return sorted(imported - listed), sorted(listed - imported)
+
+
+def test_the_scan_finds_a_stale_export():
+    source = 'from .a import f, g\nfrom .b import h as k\n\n__version__ = "1"\n__all__ = ["f", "k", "gone"]\n'
+    assert export_mismatch(source) == (["g"], ["gone"])
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    assert export_mismatch((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == ([], [])
 
 
 def print_calls(source: str) -> list[str]:
