@@ -9,13 +9,16 @@ the first M of the remaining rows form the labeled test table (N, M
 fixed below).  theta is tuned on a holdout of the training table at
 gamma = 0.7 for a 1% validation false-positive budget, the final model
 is retrained on the full training table, and ranking metrics on the
-test table are compared against reference windows.
+test table are compared against reference windows.  The acceptance
+test tests/test_acceptance.py::test_08_odds_benchmark imports this
+module and checks the same protocol against the same targets.
 """
 
 import argparse
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from invarmine.data import CONTINUOUS, Column, Dataset, Schema
 from invarmine.detect import score_dataset
 from invarmine.evaluate import (
     LabeledScores,
+    ThetaTuning,
     holdout_split,
     roc_auc,
     standardized_pauc,
@@ -37,6 +41,8 @@ TARGETS = [
     ("annthyroid", 3998, 2880, 0.60, 0.59),
 ]
 WINDOW = 0.08
+GAMMA = 0.7
+TARGET_FPR = 0.01
 
 
 def load_table(directory: str, name: str):
@@ -59,8 +65,36 @@ def load_table(directory: str, name: str):
 
 def as_dataset(X: np.ndarray) -> Dataset:
     names = [f"X{j + 1}" for j in range(X.shape[1])]
-    schema = Schema([Column(n, CONTINUOUS) for n in names])
+    schema = Schema([Column(n, CONTINUOUS, []) for n in names])
     return Dataset.from_columns(schema, {n: X[:, j].tolist() for j, n in enumerate(names)})
+
+
+@dataclass
+class Outcome:
+    tuning: ThetaTuning
+    rules: int
+    train_rows: int
+    test_rows: int
+    auc: float
+    pauc: float
+
+
+def run_protocol(X: np.ndarray, y: np.ndarray, train_n: int, test_n: int) -> Outcome | None:
+    """The protocol on one table; None when it has fewer than train_n normal rows."""
+    normal_idx = np.nonzero(y == 0)[0]
+    if len(normal_idx) < train_n:
+        return None
+    train_idx = normal_idx[:train_n]
+    rest = np.setdiff1d(np.arange(len(y)), train_idx)[:test_n]
+    train = as_dataset(X[train_idx])
+    test = as_dataset(X[rest])
+
+    fit, validation = holdout_split(train, 0.2)
+    tuning = tune_theta(fit, validation, gamma=GAMMA, target_fpr=TARGET_FPR)
+    ruleset = train_ruleset(train, MiningConfig(theta=tuning.theta, gamma=GAMMA)).ruleset
+    ls = LabeledScores(score_dataset(ruleset, test), y[rest])
+    return Outcome(tuning, len(ruleset.rules), train.row_count, test.row_count,
+                   roc_auc(ls), standardized_pauc(ls, 0.1))
 
 
 def run_one(directory: str, name: str, train_n: int, test_n: int,
@@ -69,35 +103,21 @@ def run_one(directory: str, name: str, train_n: int, test_n: int,
     if loaded is None:
         print(f"{name}: no {name}.npz or {name}.mat in {directory}, skipping")
         return True
-    X, y = loaded
-    normal_idx = np.nonzero(y == 0)[0]
-    if len(normal_idx) < train_n:
-        print(f"{name}: wanted {train_n} normal training rows, file has {len(normal_idx)}")
-        return False
-    train_idx = normal_idx[:train_n]
-    rest = np.setdiff1d(np.arange(len(y)), train_idx)[:test_n]
-
-    train = as_dataset(X[train_idx])
-    test = as_dataset(X[rest])
-    labels = y[rest]
-
     started = time.perf_counter()
-    fit, validation = holdout_split(train, 0.2)
-    tuning = tune_theta(fit, validation, gamma=0.7, target_fpr=0.01)
-    ruleset = train_ruleset(train, MiningConfig(theta=tuning.theta, gamma=0.7)).ruleset
-    ls = LabeledScores(score_dataset(ruleset, test), labels)
-    auc = roc_auc(ls)
-    pauc = standardized_pauc(ls, 0.1)
+    outcome = run_protocol(*loaded, train_n, test_n)
     elapsed = time.perf_counter() - started
+    if outcome is None:
+        print(f"{name}: wanted {train_n} normal training rows, file has fewer")
+        return False
 
-    auc_ok = abs(auc - auc_center) <= WINDOW
-    pauc_ok = abs(pauc - pauc_center) <= WINDOW
-    fell = " (fell back)" if tuning.fell_back else ""
-    print(f"{name}: theta {tuning.theta:g}{fell}, {len(ruleset.rules)} rules, "
-          f"{train.row_count}/{test.row_count} train/test rows, {elapsed:.1f}s")
-    print(f"  AUC  {auc:.3f}  target {auc_center} +- {WINDOW}  "
+    auc_ok = abs(outcome.auc - auc_center) <= WINDOW
+    pauc_ok = abs(outcome.pauc - pauc_center) <= WINDOW
+    fell = " (fell back)" if outcome.tuning.fell_back else ""
+    print(f"{name}: theta {outcome.tuning.theta:g}{fell}, {outcome.rules} rules, "
+          f"{outcome.train_rows}/{outcome.test_rows} train/test rows, {elapsed:.1f}s")
+    print(f"  AUC  {outcome.auc:.3f}  target {auc_center} +- {WINDOW}  "
           f"{'ok' if auc_ok else 'OUTSIDE WINDOW'}")
-    print(f"  pAUC {pauc:.3f}  target {pauc_center} +- {WINDOW}  "
+    print(f"  pAUC {outcome.pauc:.3f}  target {pauc_center} +- {WINDOW}  "
           f"{'ok' if pauc_ok else 'OUTSIDE WINDOW'}")
     return auc_ok and pauc_ok
 

@@ -15,6 +15,7 @@ import numpy as np
 from .data import Dataset, load_csv, load_labels, load_schema
 from .detect import DetectionConfig, check_phi, detect, explain, score_dataset, write_reports
 from .evaluate import (
+    DEFAULT_MAX_FPR,
     LabeledScores,
     check_max_fpr,
     prf1_at_threshold,
@@ -99,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True, help="schema JSON (column names and kinds)")
     p.add_argument("--theta", required=True, type=_theta, help="support floor in (0, 1)")
     p.add_argument("--gamma", required=True, type=_gamma, help="rarest-member floor scale in [0, 1)")
-    p.add_argument("--max-set-size", type=_max_set_size, default=6, help="predicate set size cap (0 = unlimited)")
+    p.add_argument("--max-set-size", type=_max_set_size, default=MiningConfig.max_set_size,
+                   help="predicate set size cap (0 = unlimited)")
     p.add_argument("--out", required=True, help="rule file to write")
     p.set_defaults(func=cmd_train)
 
@@ -128,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True, help="one 0/1 label per row")
-    p.add_argument("--max-fpr", type=_max_fpr, default=0.1, help="partial AUC cap (default 0.1)")
+    p.add_argument("--max-fpr", type=_max_fpr, default=DEFAULT_MAX_FPR,
+                   help="partial AUC cap (default %(default)s)")
     p.add_argument("--phi", type=_phi, default=0.0, help="threshold for precision/recall/F1")
     p.set_defaults(func=cmd_evaluate)
 
@@ -139,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="one 0/1 label per test row")
     p.add_argument("--theta-grid", required=True, type=_float_grid("theta", _theta), help="comma-separated")
     p.add_argument("--gamma-grid", required=True, type=_float_grid("gamma", _gamma), help="comma-separated")
-    p.add_argument("--max-set-size", type=_max_set_size, default=6)
-    p.add_argument("--max-fpr", type=_max_fpr, default=0.1)
+    p.add_argument("--max-set-size", type=_max_set_size, default=MiningConfig.max_set_size)
+    p.add_argument("--max-fpr", type=_max_fpr, default=DEFAULT_MAX_FPR)
     p.add_argument("--out", required=True, help="CSV of per-cell metrics")
     p.set_defaults(func=cmd_sweep)
 

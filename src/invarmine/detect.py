@@ -5,8 +5,10 @@ at least one consequent predicate fails.  The anomaly score of a row
 is the sum of the supports of its violated rules, so breaking a
 boundary rule adds a full point and breaking a mined rule adds its
 training support.  A row is reported anomalous when its score strictly
-exceeds the threshold phi.  Individual rules can be deactivated by id
-without retraining.
+exceeds the threshold phi.  detect, and with it the score command, can
+leave rules out by their id in the rule file without retraining; the
+scoring functions score whatever rules the RuleSet holds, so a caller
+leaves rules out there by scoring a RuleSet without them.
 
 A rule file is compiled once per RuleSet, on first use, into predicate
 arrays (predicates.CompiledRules): each predicate an OR of atoms
@@ -77,12 +79,6 @@ class AnomalyReport:
     violations: list[RuleViolation]
 
 
-def _check_rule_ids(ruleset: RuleSet, ignore_rules: frozenset[int]) -> None:
-    for rid in ignore_rules:
-        if not 0 <= rid < len(ruleset.rules):
-            raise DataError(f"no rule with id {rid}")
-
-
 def _in_rule_codes(schema: Schema, dataset: Dataset) -> Dataset:
     """The dataset with categorical codes translated to the rule file's by
     value string; values the rule file never saw become -1, which no
@@ -118,7 +114,9 @@ def _violations(
             "dataset columns do not match the rule file "
             f"(expected {ruleset.schema!r}, got {dataset.schema!r})"
         )
-    _check_rule_ids(ruleset, ignore_rules)
+    for rid in ignore_rules:
+        if not 0 <= rid < len(ruleset.rules):
+            raise DataError(f"no rule with id {rid}")
     dataset = _in_rule_codes(ruleset.schema, dataset)
     compiled = ruleset.compiled
     predicates, always = compiled.predicates, compiled.always
@@ -150,51 +148,35 @@ def _violations(
         yield rid, rule, violated, consequent
 
 
-def score_dataset(
-    ruleset: RuleSet, dataset: Dataset, ignore_rules: frozenset[int] = frozenset()
-) -> np.ndarray:
+def score_dataset(ruleset: RuleSet, dataset: Dataset) -> np.ndarray:
     """Anomaly score per row, vectorized over the whole dataset."""
     scores = np.zeros(dataset.row_count, dtype=np.float64)
-    for _, rule, violated, _ in _violations(ruleset, dataset, ignore_rules):
+    for _, rule, violated, _ in _violations(ruleset, dataset, frozenset()):
         np.add(scores, rule.support, out=scores, where=violated)
     return scores
 
 
-def score_point(
-    ruleset: RuleSet, point: DataPoint, ignore_rules: frozenset[int] = frozenset()
-) -> float:
+def score_point(ruleset: RuleSet, point: DataPoint) -> float:
     """Anomaly score of a single row, from the ruleset's compiled form.
 
     The point must carry categorical codes in the rule file's schema:
     take rows from a dataset loaded against ``ruleset.schema.copy()``.
-    It needs only the columns the active rules read.  The supports of
-    the broken rules are added in rule-id order, as score_dataset adds
-    them, so both give the same float.
+    It must hold every column the rules read and may omit any other; a
+    missing one is a DataError.  To leave rules out, score a RuleSet
+    without them (``dataclasses.replace(ruleset, rules=kept)``).  The
+    supports of the broken rules are added in rule-id order, as
+    score_dataset adds them, so both give the same float.
     """
-    _check_rule_ids(ruleset, ignore_rules)
     compiled = ruleset.compiled
     try:
         broken = compiled.broken(point.values)
-    except KeyError:
-        broken = compiled.broken(_fill_unread(ruleset, point.values, ignore_rules))
+    except KeyError as missing:
+        raise DataError(f"unknown column {missing.args[0]!r}") from None
     supports = compiled.supports
     score = 0.0
     for rid in broken.nonzero()[0].tolist():
-        if rid not in ignore_rules:
-            score += supports[rid]
+        score += supports[rid]
     return score
-
-
-def _fill_unread(ruleset: RuleSet, values: dict, ignore_rules: frozenset[int]) -> dict:
-    """values with NaN, which no atom accepts, for the columns only ignored
-    rules read; DataError for a missing column an active rule reads."""
-    for rid, rule in enumerate(ruleset.rules):
-        if rid not in ignore_rules:
-            for p in rule.antecedent + rule.consequent:
-                for column in p.columns():
-                    if column not in values:
-                        raise DataError(f"unknown column {column!r}")
-    return {c: values.get(c, math.nan) for c in ruleset.compiled.predicates.columns}
 
 
 class Reports(Sequence[AnomalyReport]):
@@ -356,14 +338,6 @@ def explain(report: AnomalyReport, ruleset: RuleSet) -> Explanation:
     return Explanation(row=report.row, score=report.score, entries=entries)
 
 
-def _json_float(x: float) -> str:
-    """x as json.dumps spells it: a finite float's repr without the
-    encoder's per-call cost, anything else through json.dumps itself."""
-    if type(x) is float and x - x == 0.0:
-        return repr(x)
-    return json.dumps(x)
-
-
 # rows rendered per write: the lines in memory at once stay bounded
 _WRITE_ROWS = 1 << 14
 
@@ -399,8 +373,9 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
         for start in range(0, len(scores), _WRITE_ROWS):
             stop = min(start + _WRITE_ROWS, len(scores))
             rows = hit[np.searchsorted(hit, start) : np.searchsorted(hit, stop)]
+            # a score is a finite float, and json.dumps spells one as its repr
             rest = {
-                i: f'"score": {_json_float(s)}, "is_anomaly": {"true" if s > phi else "false"}, '
+                i: f'"score": {s!r}, "is_anomaly": {"true" if s > phi else "false"}, '
                 f'"violations": [{", ".join([fragments[id(v)] for v in violated[i]])}]}}\n'
                 for i, s in zip(rows.tolist(), scores[rows].tolist())
             }

@@ -72,6 +72,9 @@ def roc_auc(ls: LabeledScores) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+DEFAULT_MAX_FPR = 0.1  # the partial AUC cap when none is given
+
+
 def check_max_fpr(max_fpr: float) -> None:
     if not 0.0 < max_fpr <= 1.0:
         raise DataError(f"max_fpr must lie in (0, 1], got {max_fpr}")
@@ -174,8 +177,8 @@ def sweep(
     labels: np.ndarray,
     theta_grid: list[float],
     gamma_grid: list[float],
-    max_set_size: int | None = 6,
-    max_fpr: float = 0.1,
+    max_set_size: int | None = MiningConfig.max_set_size,
+    max_fpr: float = DEFAULT_MAX_FPR,
 ) -> SweepResult:
     """Retrain and evaluate on every (theta, gamma) grid cell.
 
@@ -231,7 +234,7 @@ def tune_theta(
     gamma: float,
     target_fpr: float = 0.01,
     candidates: list[float] | None = None,
-    max_set_size: int | None = 6,
+    max_set_size: int | None = MiningConfig.max_set_size,
 ) -> ThetaTuning:
     """Pick the theta that yields the most rules while the validation
     false positive rate at phi = 0 stays strictly below the target.

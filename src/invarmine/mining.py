@@ -420,25 +420,31 @@ def _code_or_fail(schema: Schema, column: str, value: str) -> int:
     return code
 
 
+def _read_column(schema: Schema, t: str, column: str, kind: str) -> str:
+    """column, checked to be a schema column of the kind a t predicate reads."""
+    if column not in schema.names or schema.kind(column) != kind:
+        raise DataError(f"{t} predicate reads {column!r}, not a {kind} column of the schema")
+    return column
+
+
 def _predicate_from_json(entry: dict, schema: Schema) -> Predicate:
     t = entry["type"]
     if t == "equals":
-        return CategoricalEquals(entry["column"], _code_or_fail(schema, entry["column"], entry["value"]))
+        column = _read_column(schema, t, entry["column"], CATEGORICAL)
+        return CategoricalEquals(column, _code_or_fail(schema, column, entry["value"]))
     if t == "disjunction":
-        return CategoricalDisjunction(
-            tuple((c, _code_or_fail(schema, c, v)) for c, v in entry["items"])
-        )
+        items = [(_read_column(schema, t, c, CATEGORICAL), v) for c, v in entry["items"]]
+        return CategoricalDisjunction(tuple((c, _code_or_fail(schema, c, v)) for c, v in items))
     if t == "interval":
         lower = float("-inf") if entry["lower"] is None else float(entry["lower"])
         upper = float("inf") if entry["upper"] is None else float(entry["upper"])
-        return Interval(entry["column"], lower, upper)
+        return Interval(_read_column(schema, t, entry["column"], CONTINUOUS), lower, upper)
     if t == "range":
-        return Range(entry["column"], float(entry["low"]), float(entry["high"]))
+        column = _read_column(schema, t, entry["column"], CONTINUOUS)
+        return Range(column, float(entry["low"]), float(entry["high"]))
     if t == "membership":
-        return Membership(
-            entry["column"],
-            frozenset(_code_or_fail(schema, entry["column"], v) for v in entry["values"]),
-        )
+        column = _read_column(schema, t, entry["column"], CATEGORICAL)
+        return Membership(column, frozenset(_code_or_fail(schema, column, v) for v in entry["values"]))
     raise DataError(f"unknown predicate type {t!r}")
 
 

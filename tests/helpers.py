@@ -1,5 +1,9 @@
 """Small builders shared across the test modules."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from invarmine.data import CATEGORICAL, CONTINUOUS, Column, DataError, Dataset, Schema
@@ -109,3 +113,16 @@ def random_predicates(dataset, rng, max_preds=12):
             seen.add(p)
             out.append(p)
     return out
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """scripts/{name}.py as a module, imported without running its main."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[name]

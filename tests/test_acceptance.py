@@ -32,7 +32,7 @@ from invarmine.pipeline import train_ruleset
 from invarmine.predicates import CategoricalDisjunction, CategoricalEquals, Interval
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
-from helpers import build_catalog, random_predicates
+from helpers import build_catalog, load_script, random_predicates
 from oracles import (
     area_by_segments,
     auc_by_pair_counting,
@@ -350,45 +350,16 @@ def test_07_hyperparameter_monotonicity():
     )
 
 
-def _load_benchmark_table(directory, name):
-    """X (float matrix) and y (0/1) from {name}.npz or {name}.mat."""
-    npz_path = os.path.join(directory, f"{name}.npz")
-    if os.path.exists(npz_path):
-        data = np.load(npz_path)
-        return np.asarray(data["X"], dtype=float), np.asarray(data["y"]).ravel().astype(int)
-    mat_path = os.path.join(directory, f"{name}.mat")
-    if os.path.exists(mat_path):
-        try:
-            from scipy.io import loadmat
-        except ImportError:
-            return None
-        data = loadmat(mat_path)
-        return np.asarray(data["X"], dtype=float), np.asarray(data["y"]).ravel().astype(int)
-    return None
-
-
-def _benchmark_dataset(X):
-    from invarmine.data import CONTINUOUS, Column, Dataset, Schema
-
-    names = [f"X{j + 1}" for j in range(X.shape[1])]
-    schema = Schema([Column(n, CONTINUOUS, []) for n in names])
-    return Dataset.from_columns(schema, {n: X[:, j].tolist() for j, n in enumerate(names)})
-
-
 def test_08_odds_benchmark():
     """Soft-target benchmark on two public tabular anomaly datasets.
 
-    Needs the files locally ({name}.npz or {name}.mat with X and y in a
-    directory named by ODDS_DATA_DIR); this environment has no network
-    access, so the data cannot be fetched here and the test skips when
-    the directory is absent.
+    Runs scripts/run_odds_benchmark.py's protocol and targets.  Needs the
+    files locally ({name}.npz or {name}.mat with X and y in a directory
+    named by ODDS_DATA_DIR); this environment has no network access, so
+    the data cannot be fetched here and the test skips when the
+    directory is absent.
     """
     directory = os.environ.get("ODDS_DATA_DIR", "")
-    targets = [
-        # name, train rows, test rows, auc window center, pauc window center
-        ("cardio", 1099, 696, 0.90, 0.82),
-        ("annthyroid", 3998, 2880, 0.60, 0.59),
-    ]
     if not directory or not os.path.isdir(directory):
         _skip(
             "odds-benchmark",
@@ -396,37 +367,24 @@ def test_08_odds_benchmark():
             "set ODDS_DATA_DIR to a directory with cardio/annthyroid files to run",
         )
 
+    odds = load_script("run_odds_benchmark")
     started = time.perf_counter()
     problems = []
     details = []
-    for name, train_n, test_n, auc_center, pauc_center in targets:
-        loaded = _load_benchmark_table(directory, name)
+    for name, train_n, test_n, auc_center, pauc_center in odds.TARGETS:
+        loaded = odds.load_table(directory, name)
         if loaded is None:
             _skip("odds-benchmark", f"{name} not found (or scipy missing) in {directory}")
-        X, y = loaded
-        normal_idx = np.nonzero(y == 0)[0]
-        if len(normal_idx) < train_n:
+        outcome = odds.run_protocol(*loaded, train_n, test_n)
+        if outcome is None:
             _skip("odds-benchmark", f"{name}: expected at least {train_n} normal rows")
-        train_idx = normal_idx[:train_n]
-        rest = np.setdiff1d(np.arange(len(y)), train_idx, assume_unique=False)[:test_n]
-
-        train = _benchmark_dataset(X[train_idx])
-        test = _benchmark_dataset(X[rest])
-        labels = y[rest]
-
-        fit, validation = holdout_split(train, 0.2)
-        tuning = tune_theta(fit, validation, gamma=0.7, target_fpr=0.01)
-        ruleset = train_ruleset(train, MiningConfig(theta=tuning.theta, gamma=0.7)).ruleset
-        scores = score_dataset(ruleset, test)
-        ls = LabeledScores(scores, labels)
-        auc = roc_auc(ls)
-        pauc = standardized_pauc(ls, 0.1)
-        if not tuning.fell_back and not tuning.fpr < 0.01:
-            problems.append(f"{name}: tuned FPR {tuning.fpr} not below 0.01")
-        if abs(auc - auc_center) > 0.08:
-            problems.append(f"{name}: AUC {auc:.3f} outside {auc_center}+-0.08")
-        if abs(pauc - pauc_center) > 0.08:
-            problems.append(f"{name}: pAUC {pauc:.3f} outside {pauc_center}+-0.08")
+        tuning, auc, pauc = outcome.tuning, outcome.auc, outcome.pauc
+        if not tuning.fell_back and not tuning.fpr < odds.TARGET_FPR:
+            problems.append(f"{name}: tuned FPR {tuning.fpr} not below {odds.TARGET_FPR}")
+        if abs(auc - auc_center) > odds.WINDOW:
+            problems.append(f"{name}: AUC {auc:.3f} outside {auc_center}+-{odds.WINDOW}")
+        if abs(pauc - pauc_center) > odds.WINDOW:
+            problems.append(f"{name}: pAUC {pauc:.3f} outside {pauc_center}+-{odds.WINDOW}")
         details.append(f"{name} theta={tuning.theta:g} AUC={auc:.3f} pAUC={pauc:.3f}")
     elapsed = time.perf_counter() - started
     if elapsed >= 300.0:

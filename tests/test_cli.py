@@ -208,6 +208,14 @@ class TestScore:
         assert captured.err.startswith("error: ")
 
 
+def _predicate(payload, text):
+    return next(e for e in payload["predicates"] if e["text"] == text)
+
+
+def _first(payload, kind):
+    return next(e for e in payload["predicates"] if e["type"] == kind)
+
+
 # each edit turns the trained rule file into a malformed one
 MALFORMED_RULE_FILES = {
     "index out of range": lambda p: p["rules"][0].update(antecedent=[999]),
@@ -234,6 +242,15 @@ MALFORMED_RULE_FILES = {
     "rules empty": lambda p: p.update(rules=[]),
     # the last rule is the last column's boundary rule; popping it keeps the ids positional
     "last boundary rule dropped": lambda p: p["rules"].pop(),
+    # a predicate moved to a column of the other kind, or to no column of the schema
+    "interval on a categorical column": lambda p: _predicate(p, "5 <= X1 < 10").update(column="U1"),
+    "range on a categorical column": lambda p: _first(p, "range").update(column="U1"),
+    "equals on a continuous column": lambda p: _first(p, "equals").update(column="X1"),
+    "equals on an unknown column": lambda p: _first(p, "equals").update(column="Q"),
+    "membership on a continuous column": lambda p: _first(p, "membership").update(column="X1"),
+    "disjunction item on a continuous column": lambda p: _first(p, "equals").update(
+        type="disjunction", items=[["U1", "lo"], ["X1", "lo"]]
+    ),
 }
 
 

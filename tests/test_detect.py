@@ -37,7 +37,7 @@ from invarmine.predicates import Interval, Membership, PredicateCatalog, Range
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset, make_schema
-from oracles import reports_by_row_loop, write_reports_by_json_dumps
+from oracles import reports_by_row_loop, score_by_row, write_reports_by_json_dumps
 
 INF = float("inf")
 
@@ -175,13 +175,21 @@ class TestThreshold:
 
 
 class TestDeactivation:
+    """detect leaves rules out by id; the scoring functions score the RuleSet
+    they are given, so leaving rules out there means a RuleSet without them."""
+
+    @staticmethod
+    def without(ruleset, ignored):
+        kept = [r for rid, r in enumerate(ruleset.rules) if rid not in ignored]
+        return dataclasses.replace(ruleset, rules=kept)
+
     def test_ignored_rule_contributes_nothing(self):
         ruleset = envelope_ruleset()
         dataset = x_dataset([50.0])
-        assert score_dataset(ruleset, dataset, frozenset({1}))[0] == 0.30
-        assert score_dataset(ruleset, dataset, frozenset({0}))[0] == 0.25
-        assert score_dataset(ruleset, dataset, frozenset({0, 1}))[0] == 0.0
-        assert score_point(ruleset, dataset.row(0), frozenset({1})) == 0.30
+        for ignored, expected in [({1}, 0.30), ({0}, 0.25), ({0, 1}, 0.0)]:
+            assert score_by_row(ruleset, dataset.row(0), ignored) == expected
+            assert score_dataset(self.without(ruleset, ignored), dataset)[0] == expected
+            assert score_point(self.without(ruleset, ignored), dataset.row(0)) == expected
 
     def test_detect_honors_ignore_set(self):
         ruleset = envelope_ruleset()
@@ -194,7 +202,7 @@ class TestDeactivation:
         ruleset = envelope_ruleset()
         dataset = x_dataset([1.0])
         with pytest.raises(DataError, match="no rule with id 5"):
-            score_dataset(ruleset, dataset, frozenset({5}))
+            detect(ruleset, dataset, DetectionConfig(ignore_rules=frozenset({5})))
         with pytest.raises(DataError, match="no rule with id -1"):
             detect(ruleset, dataset, DetectionConfig(ignore_rules=frozenset({-1})))
 
@@ -203,8 +211,10 @@ class TestDeactivation:
         dataset = x_dataset([-20.0, -1.0, 0.0, 4.9, 5.0, 9.9, 10.0, 15.0, 20.0, 99.0])
         base = score_dataset(ruleset, dataset)
         for rid in range(len(ruleset.rules)):
-            reduced = score_dataset(ruleset, dataset, frozenset({rid}))
+            reduced = score_dataset(self.without(ruleset, {rid}), dataset)
             assert np.all(reduced <= base)
+            by_id = detect(ruleset, dataset, DetectionConfig(ignore_rules=frozenset({rid})))
+            assert np.array_equal(reduced, by_id.scores)
 
 
 class TestCompiledForm:
@@ -276,24 +286,20 @@ class TestPointInputs:
         assert score_point(ruleset, DataPoint({"X": 50.0})) == 0.30 + 0.25
         assert score_point(ruleset, DataPoint({"X": 50.0, "Z": 1.0})) == 0.30 + 0.25
         ruleset = self.xy_rules()
-        assert score_point(ruleset, DataPoint({"X": 5.0}), frozenset({1})) == 1.0
+        boundary_only = dataclasses.replace(ruleset, rules=ruleset.rules[:1])  # reads X only
+        assert score_point(boundary_only, DataPoint({"X": 5.0})) == 1.0
 
     def test_a_missing_column_an_active_rule_reads_is_a_data_error(self):
         ruleset = self.xy_rules()
         with pytest.raises(DataError, match="unknown column 'Y'"):
             score_point(ruleset, DataPoint({"X": 5.0}))
         with pytest.raises(DataError, match="unknown column 'X'"):
-            score_point(ruleset, DataPoint({"Y": 5.0}), frozenset({1}))
+            score_point(dataclasses.replace(ruleset, rules=ruleset.rules[:1]), DataPoint({"Y": 5.0}))
 
     def test_no_rules_score_every_point_zero(self):
         ruleset = hand_ruleset(make_schema(cont=("X",)), [])
         assert score_point(ruleset, DataPoint({})) == 0.0
         assert score_dataset(ruleset, x_dataset([1.0, 99.0])).tolist() == [0.0, 0.0]
-
-    @pytest.mark.parametrize("rid", [2, -1, 99])
-    def test_an_out_of_range_ignore_id_is_a_data_error(self, rid):
-        with pytest.raises(DataError, match=f"no rule with id {rid}"):
-            score_point(self.xy_rules(), DataPoint({"X": 0.0, "Y": 0.0}), frozenset({rid}))
 
 
 class TestDetectReports:

@@ -644,7 +644,43 @@ class TestRuleSetFiles:
         ),
     }
 
-    @pytest.mark.parametrize("edit, message", SILENTLY_WRONG.values(), ids=SILENTLY_WRONG.keys())
+    # each edit moves a predicate (ids as build interns them) off the kind of column it reads
+    WRONG_COLUMN_KIND = {
+        "interval on a categorical column": (
+            lambda p: p["predicates"][0].update(column="U1"),
+            "interval predicate reads 'U1', not a continuous column of the schema",
+        ),
+        "range on a categorical column": (
+            lambda p: p["predicates"][5].update(column="U2"),
+            "range predicate reads 'U2', not a continuous column of the schema",
+        ),
+        "equals on a continuous column": (
+            lambda p: p["predicates"][2].update(column="X1"),
+            "equals predicate reads 'X1', not a categorical column of the schema",
+        ),
+        "equals on an unknown column": (
+            lambda p: p["predicates"][2].update(column="Q"),
+            "equals predicate reads 'Q', not a categorical column of the schema",
+        ),
+        "interval on an unknown column": (
+            lambda p: p["predicates"][1].update(column="Q"),
+            "interval predicate reads 'Q', not a continuous column of the schema",
+        ),
+        "membership on a continuous column": (
+            lambda p: p["predicates"][4].update(column="X1"),
+            "membership predicate reads 'X1', not a categorical column of the schema",
+        ),
+        "disjunction item on a continuous column": (
+            lambda p: p["predicates"][3]["items"][1].__setitem__(0, "X1"),
+            "disjunction predicate reads 'X1', not a categorical column of the schema",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [*SILENTLY_WRONG.values(), *WRONG_COLUMN_KIND.values()],
+        ids=[*SILENTLY_WRONG, *WRONG_COLUMN_KIND],
+    )
     def test_load_rejects_a_silently_wrong_file(self, tmp_path, edit, message):
         import json
 
