@@ -195,8 +195,9 @@ class Dataset:
         self.row_count = lengths.pop()
 
     @classmethod
-    def from_columns(cls, schema: Schema, columns: dict[str, list]) -> "Dataset":
-        """Build a dataset from python lists; categorical entries are value strings.
+    def from_columns(cls, schema: Schema, columns: dict[str, list | np.ndarray]) -> "Dataset":
+        """Build a dataset from python lists or arrays; categorical entries
+        are value strings.  A float64 array is kept, not copied.
 
         New categorical values enter the schema only once every column
         has been checked, so a failed build leaves the schema unchanged.
@@ -492,21 +493,72 @@ def format_number(value: float) -> str:
     return repr(v)
 
 
+# write_csv's unit of work: the rows it renders and writes per str.join.
+_WRITE_ROWS = 1 << 12
+
+
+def _cell_texts(dataset: Dataset, col: Column) -> tuple[list[str], np.ndarray]:
+    """The text write_csv prints for each distinct value of a column, and
+    each row's index into those texts.
+
+    Continuous values are told apart by bit pattern, so -0.0 keeps its
+    own text.  Raises DataError for a code with no value and for a value
+    load_csv would refuse: a non-finite number or an empty string.
+    """
+    name = col.name
+    if col.kind == CONTINUOUS:
+        values = np.asarray(dataset.column(name), dtype=np.float64)
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        finite = np.isfinite(distinct)
+        if not finite.all():
+            raise DataError(f"column {name!r}: cannot write non-finite value {float(distinct[finite.argmin()])!r}")
+        return [repr(value) for value in distinct.tolist()], index
+    codes = np.asarray(dataset.column(name), dtype=np.int64)
+    bad = (codes < 0) | (codes >= len(col.values))
+    if bad.any():
+        raise DataError(f"column {name!r}: no value with code {codes[bad.argmax()]}")
+    used, index = np.unique(codes, return_inverse=True)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    texts = []
+    for code in used.tolist():
+        value = col.values[code]
+        if value == "":
+            raise DataError(f"column {name!r}: cannot write an empty value")
+        writer.writerow([value])
+        texts.append(buf.getvalue().removesuffix(writer.dialect.lineterminator))
+        buf.seek(0)
+        buf.truncate()
+    return texts, index
+
+
 def write_csv(dataset: Dataset, path: str) -> None:
-    """Serialize a dataset; continuous cells round-trip through repr."""
+    """Serialize a dataset in csv.writer's default dialect: comma
+    delimiter, CRLF line ends, quotes only around a value holding a
+    comma, a quote or a line break, UTF-8.
+
+    Continuous cells are the repr of the float, which float() reads back
+    bit for bit.  Each column's text is rendered once per distinct value
+    and gathered by row, _WRITE_ROWS rows per write.  A value load_csv
+    would refuse (a non-finite number, an empty categorical value) or a
+    categorical code with no value raises DataError naming the column,
+    before the file is opened.
+    """
     schema = dataset.schema
+    columns = []
+    for j, col in enumerate(schema.columns):
+        texts, index = _cell_texts(dataset, col)
+        end = "," if j < len(schema.columns) - 1 else "\r\n"
+        columns.append((np.array([text + end for text in texts], dtype=object), index))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.names)
-        columns = []
-        for col in schema.columns:
-            arr = dataset.column(col.name)
-            if col.kind == CONTINUOUS:
-                columns.append([repr(float(v)) for v in arr])
-            else:
-                columns.append([schema.value_of(col.name, int(v)) for v in arr])
-        for i in range(dataset.row_count):
-            writer.writerow([column[i] for column in columns])
+        csv.writer(fh).writerow(schema.names)
+        for lo in range(0, dataset.row_count, _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, dataset.row_count)
+            block = np.empty((hi - lo, len(columns)), dtype=object)
+            for j, (texts, index) in enumerate(columns):
+                block[:, j] = texts[index[lo:hi]]
+            fh.write("".join(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,10 @@ def planted_rule_data(
     dataset = Dataset.from_columns(
         _planted_schema(),
         {
-            "X1": x1.tolist(),
-            "X2": x2.tolist(),
-            "X3": x3.tolist(),
-            "X4": x4.tolist(),
+            "X1": x1,
+            "X2": x2,
+            "X3": x3,
+            "X4": x4,
             "U1": u1.tolist(),
             "U2": u2.tolist(),
             "U3": u3.tolist(),
@@ -125,7 +125,7 @@ def random_mixed_dataset(
     if n_continuous < 1 or n_categorical < 1:
         raise ValueError("need at least one column of each kind")
     rng = np.random.default_rng(seed)
-    columns: dict[str, list] = {}
+    columns: dict[str, list | np.ndarray] = {}
     schema_cols: list[Column] = []
     cont_names: list[str] = []
 
@@ -140,7 +140,7 @@ def random_mixed_dataset(
             values = rng.choice(grid, size=n_rows, p=masses)
         else:
             values = np.round(rng.uniform(-50.0, 50.0, size=n_rows), 2)
-        columns[name] = values.tolist()
+        columns[name] = values
 
     for i in range(n_categorical):
         name = f"U{i + 1}"
@@ -149,13 +149,13 @@ def random_mixed_dataset(
             source = columns[cont_names[int(rng.integers(0, n_continuous))]]
             pivot = float(np.median(source))
             flips = rng.random(n_rows) < float(rng.uniform(0.02, 0.15))
-            base = np.asarray(source) > pivot
+            base = source > pivot
             values = np.where(base ^ flips, "hi", "lo")
         else:
             k = int(rng.integers(2, 7))
             vocab = [f"v{j}" for j in range(k)]
             masses = rng.dirichlet(np.full(k, 0.8))
             values = rng.choice(vocab, size=n_rows, p=masses)
-        columns[name] = list(values)
+        columns[name] = values.tolist()
 
     return Dataset.from_columns(Schema(schema_cols), columns)

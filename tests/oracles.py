@@ -526,3 +526,28 @@ def load_csv_by_rows(path, schema):
     if not arrays or len(next(iter(arrays.values()))) == 0:
         raise DataError(f"{path}: no data rows")
     return Dataset(schema, arrays)
+
+
+def write_csv_by_rows(dataset, path):
+    """write_csv() as one csv.writer row and one repr or value_of per cell.
+
+    This is the writer as it stood before it rendered each distinct value
+    once, kept whole: it checks nothing but the codes, and a bad code
+    raises after the header is on disk."""
+    import csv
+
+    from invarmine.data import CONTINUOUS
+
+    schema = dataset.schema
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(schema.names)
+        columns = []
+        for col in schema.columns:
+            arr = dataset.column(col.name)
+            if col.kind == CONTINUOUS:
+                columns.append([repr(float(v)) for v in arr])
+            else:
+                columns.append([schema.value_of(col.name, int(v)) for v in arr])
+        for i in range(dataset.row_count):
+            writer.writerow([column[i] for column in columns])

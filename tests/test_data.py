@@ -1,6 +1,7 @@
 """Schema handling, CSV ingestion, column statistics, and support."""
 
 import csv
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -26,10 +27,10 @@ from invarmine.data import (
     write_csv,
 )
 from invarmine.predicates import CategoricalEquals, Interval
-from invarmine.synth import planted_rule_data
+from invarmine.synth import planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset, make_schema, support, write_text
-from oracles import load_csv_by_rows
+from oracles import load_csv_by_rows, write_csv_by_rows
 
 
 class TestSchema:
@@ -379,6 +380,128 @@ def test_columnar_peak_memory_is_at_most_the_row_parsers(tmp_path):
             tracemalloc.stop()
     assert data._load_columns(path, dataset.schema.copy()) is not None
     assert peaks[1] <= peaks[0]
+
+
+# every character csv.writer quotes, and some it writes as they are
+WRITER_CHARS = [",", '"', "\r", "\n", " ", "\t", "a", "Z", "1", "\u00e9", "\u65e5", "\U0001f600"]
+WRITER_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 0.1, -2.5, 1 / 3, 1e300, 123456789.0]
+
+
+@st.composite
+def writable_datasets(draw):
+    """A Dataset write_csv accepts: finite floats (some in int64 arrays)
+    and non-empty categorical values that need every kind of quoting."""
+    rows = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from([CONTINUOUS, CATEGORICAL, "int64"]), min_size=1, max_size=4))
+    columns, arrays = [], {}
+    for j, kind in enumerate(kinds):
+        name = draw(st.sampled_from(["X", "a,b", 'q"', "\u00e9 t"])) + str(j)
+        if kind == CATEGORICAL:
+            value = st.text(st.sampled_from(WRITER_CHARS), min_size=1, max_size=4)
+            values = draw(st.lists(value, min_size=1, max_size=5, unique=True))
+            columns.append(Column(name, CATEGORICAL, values))
+            cells = st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows)
+            arrays[name] = np.asarray(draw(cells), dtype=np.int64)
+        elif kind == "int64":
+            columns.append(Column(name, CONTINUOUS, []))
+            cells = st.lists(st.integers(-(2**53), 2**53), min_size=rows, max_size=rows)
+            arrays[name] = np.asarray(draw(cells), dtype=np.int64)
+        else:
+            columns.append(Column(name, CONTINUOUS, []))
+            number = st.one_of(st.sampled_from(WRITER_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+            arrays[name] = np.asarray(draw(st.lists(number, min_size=rows, max_size=rows)), dtype=np.float64)
+    return Dataset(Schema(columns), arrays)
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["one block", "3-row blocks"])
+@given(dataset=writable_datasets())
+def test_write_csv_writes_the_row_writers_bytes(tmp_path_factory, block, dataset):
+    directory = tmp_path_factory.mktemp("written")
+    write_csv_by_rows(dataset, str(directory / "rows.csv"))
+    with mock.patch.object(data, "_WRITE_ROWS", block or data._WRITE_ROWS):
+        write_csv(dataset, str(directory / "d.csv"))
+    assert (directory / "d.csv").read_bytes() == (directory / "rows.csv").read_bytes()
+    again = load_csv(str(directory / "d.csv"), dataset.schema.copy())
+    for col in dataset.schema.columns:
+        dtype = np.float64 if col.kind == CONTINUOUS else np.int64
+        assert again.column(col.name).tobytes() == np.asarray(dataset.column(col.name), dtype=dtype).tobytes()
+
+
+class TestWriteCsv:
+    def test_dialect(self, tmp_path):
+        schema = Schema([Column("X1", CONTINUOUS, []), Column("U 1", CATEGORICAL, ["a,b", 'say "hi"', "x\ny", "plain"])])
+        dataset = Dataset(schema, {"X1": np.array([-0.0, 1e16, 1e-05, 2.0]), "U 1": np.array([0, 1, 2, 3])})
+        path = tmp_path / "d.csv"
+        write_csv(dataset, str(path))
+        assert path.read_bytes() == (
+            b'X1,U 1\r\n-0.0,"a,b"\r\n1e+16,"say ""hi"""\r\n1e-05,"x\ny"\r\n2.0,plain\r\n'
+        )
+
+    def test_an_unquoted_file_takes_the_columnar_reader(self, tmp_path):
+        dataset, _ = planted_rule_data(500, seed=3)
+        path = str(tmp_path / "d.csv")
+        write_csv(dataset, path)
+        assert data._load_columns(path, dataset.schema.copy()) is not None
+
+    def test_an_empty_table_is_its_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(make_dataset(cont={"X1": []}, cat={"U1": []}), str(path))
+        assert path.read_bytes() == b"X1,U1\r\n"
+
+    def test_an_unused_empty_value_is_not_written(self, tmp_path):
+        schema = Schema([Column("U1", CATEGORICAL, ["", "a"])])
+        path = tmp_path / "d.csv"
+        write_csv(Dataset(schema, {"U1": np.array([1, 1])}), str(path))
+        assert path.read_bytes() == b"U1\r\na\r\na\r\n"
+
+    @pytest.mark.parametrize(
+        "dataset,message",
+        [
+            (
+                lambda: Dataset.from_columns(make_schema(cont=("X1",), cat=("U1",)), {"X1": [1.0, 2.0], "U1": ["", "a"]}),
+                "column 'U1': cannot write an empty value",
+            ),
+            (
+                lambda: Dataset(make_schema(cont=("X1",)), {"X1": np.array([1.0, np.nan])}),
+                "column 'X1': cannot write non-finite value nan",
+            ),
+            (
+                lambda: Dataset(make_schema(cont=("X1", "X2")), {"X1": np.array([1.0, 2.0]), "X2": np.array([0.0, -np.inf])}),
+                "column 'X2': cannot write non-finite value -inf",
+            ),
+        ],
+        ids=["empty categorical value", "nan", "-inf"],
+    )
+    def test_a_value_load_csv_refuses_is_not_written(self, tmp_path, dataset, message):
+        path = tmp_path / "d.csv"
+        with pytest.raises(DataError) as exc:
+            write_csv(dataset(), str(path))
+        assert str(exc.value) == message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("codes,bad", [([3], 3), ([-1], -1), ([0, 2, -1], 2)], ids=["3", "-1", "first bad row"])
+    def test_a_code_with_no_value_writes_no_file(self, tmp_path, codes, bad):
+        schema = Schema([Column("X1", CONTINUOUS, []), Column("U1", CATEGORICAL, ["a", "b"])])
+        dataset = Dataset(schema, {"X1": np.zeros(len(codes)), "U1": np.asarray(codes, dtype=np.int64)})
+        path = tmp_path / "d.csv"
+        with pytest.raises(DataError) as exc:
+            write_csv(dataset, str(path))
+        assert str(exc.value) == f"column 'U1': no value with code {bad}"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "table,digest",
+        [
+            (lambda: planted_rule_data(2000, 7)[0], "cc523cdf41ce763914f152623bc8227319dc9b425e659907a44a17497bd69de2"),
+            (lambda: planted_rule_data(1000, 11, 0.05)[0], "226abd2d74836e6413845cbdc470c19ec475ac9baa9bc3381933668130c23d1b"),
+            (lambda: random_mixed_dataset(3000, 12, 8, 0), "79f5a2438b5b64b5deba97eec298961ca7d56a594c7ba99dc71c30441851b1ab"),
+        ],
+        ids=["planted_rule_data(2000, 7)", "planted_rule_data(1000, 11, 0.05)", "random_mixed_dataset(3000, 12, 8, 0)"],
+    )
+    def test_generated_tables_keep_their_bytes(self, tmp_path, table, digest):
+        path = tmp_path / "d.csv"
+        write_csv(table(), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestColumnStats:
