@@ -8,9 +8,10 @@ test file; values unseen at training time receive fresh codes and thus
 never match predicates built from training codes.
 
 load_csv has two readers that give the same arrays, schema and errors.
-The columnar reader takes the file in blocks of 256 KiB and
-parses whole columns with numpy; it reads only what it can show it
-reads exactly as csv.reader and float() do (unquoted UTF-8 without
+The columnar reader takes the file in blocks of 256 KiB, parses whole
+continuous columns with np.loadtxt and codes categorical cells by their
+8-byte words, one integer sort per word; it reads only what it can show
+it reads exactly as csv.reader and float() do (unquoted UTF-8 without
 stray control characters) and otherwise hands the file to the row
 parser, which is the only one that raises DataError.  Neither changes
 the schema unless the whole file loads.
@@ -297,12 +298,12 @@ def _plain(chunk: bytes) -> bool:
     return True
 
 
-def _cells(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _cells(buf: np.ndarray, width: int, used: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
     """Start offsets and byte lengths of every cell of LF- or CRLF-ended
     lines, as (lines, width) arrays.  None unless every line has exactly
-    width cells, no cell is empty (a blank line, which loadtxt would skip,
-    is an empty cell), every CR ends a line before its LF and no cell
-    outgrows csv's field limit."""
+    width cells, no cell at a position in used is empty (a blank line,
+    which loadtxt would skip, is an empty cell), every CR ends a line
+    before its LF and no cell outgrows csv's field limit."""
     newline = buf == ord("\n")
     ends = np.flatnonzero(newline | (buf == ord(",")))
     lines = len(ends) // width
@@ -320,34 +321,65 @@ def _cells(buf: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray] | None:
     lengths[:, -1] -= crlf
     if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf):
         return None
-    if not lengths.all() or lengths.max() > csv.field_size_limit():
+    # lengths.all() first: it is the common case and needs no column gather
+    if not (lengths.all() or lengths[:, used].all()) or lengths.max() > csv.field_size_limit():
         return None
     return starts, lengths
 
 
-def _first_seen(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seen: dict[bytes, int]) -> np.ndarray:
+def _words(block: bytes) -> np.ndarray:
+    """The little-endian 8-byte word at each offset 0..len(block) of block
+    padded with 8 zero bytes: a read-only view, one word per byte."""
+    return np.ndarray((len(block) + 1,), dtype="<u8", buffer=block + bytes(8), strides=(1,))
+
+
+# _MASKS[r] keeps the low r bytes of a little-endian word
+_MASKS = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
+
+
+def _dedupe(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key's first position, in key order, and each key's
+    index among the distinct keys.  One unstable sort: the first position
+    is the least of a run of equal sorted keys."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    heads = np.empty(len(keys), dtype=bool)
+    heads[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(heads))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(heads) - 1
+    return first, inverse
+
+
+def _first_seen(
+    block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seen: dict[bytes, int]
+) -> np.ndarray:
     """Each cell's rank in `seen`, which maps every value met so far to its
     rank of first appearance and is extended in cell order.
 
-    Cells are compared as fixed-width byte strings, gathered through an
-    index matrix of at most _BLOCK_BYTES per np.unique call."""
-    width = int(lengths.max())
-    offsets = np.arange(width)
-    step = max(1, _BLOCK_BYTES // (8 * width))
-    out = []
-    for lo in range(0, len(starts), step):
-        at = starts[lo : lo + step, None] + offsets
-        np.minimum(at, len(buf) - 1, out=at)
-        matrix = buf[at]
-        matrix[offsets >= lengths[lo : lo + step, None]] = 0
-        keys = matrix.view(f"S{width}").ravel()
-        values, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        values = values.tolist()
-        rank = np.empty(len(values), dtype=np.int64)
-        for u in np.argsort(first).tolist():
-            rank[u] = seen.setdefault(values[u], len(seen))
-        out.append(rank[inverse.ravel()])
-    return np.concatenate(out)
+    Cells are told apart by their 8-byte words (words is _words(block)),
+    each masked to the bytes left in the cell.  The first word gives
+    dense codes and every further word refines them exactly, as code * k
+    + the word's own dense code among its k distinct values, a product
+    below the square of the block's cell count.  The zero bytes of the
+    mask cannot make two texts equal, since a plain block holds no NUL.
+    Each distinct value is sliced from block once."""
+    code = None
+    for j in range(0, int(lengths.max()), 8):
+        at = np.minimum(starts + j, len(words) - 1)
+        word = words[at] & _MASKS[np.clip(lengths - j, 0, 8)]
+        first, dense = _dedupe(word)
+        if code is None:
+            code = dense
+        else:
+            first, code = _dedupe(code * len(first) + dense)
+    order = np.argsort(first)
+    at = first[order]
+    ends = starts[at] + lengths[at]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = [seen.setdefault(block[s:e], len(seen)) for s, e in zip(starts[at].tolist(), ends.tolist())]
+    return rank[code]
 
 
 def _load_columns(path: str, schema: Schema) -> Dataset | None:
@@ -357,8 +389,9 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
     The file is read in blocks of about _BLOCK_BYTES that end on a line
     boundary.  Cells are located from the comma and newline offsets,
     continuous columns parsed by np.loadtxt, and categorical values
-    ranked by first appearance with np.unique; the schema interns them
-    only after the last block has passed.
+    ranked by first appearance (_first_seen); the schema interns them
+    only after the last block has passed.  A column the schema does not
+    read may hold empty cells.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -375,6 +408,7 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
         cont = [c.name for c in schema.columns if c.kind == CONTINUOUS]
         cat = [c.name for c in schema.columns if c.kind == CATEGORICAL]
         usecols = [position[n] for n in cont]
+        used = [position[n] for n in schema.names]
         parts: dict[str, list[np.ndarray]] = {n: [] for n in schema.names}
         seen: dict[str, dict[bytes, int]] = {n: {} for n in cat}
         rows = 0
@@ -383,7 +417,7 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
             if not block.endswith(b"\n"):
                 block += b"\n"
             buf = np.frombuffer(block, dtype=np.uint8)
-            cells = _cells(buf, width) if _plain(block) else None
+            cells = _cells(buf, width, used) if _plain(block) else None
             if cells is None:
                 return None
             starts, lengths = cells
@@ -409,9 +443,10 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
                     return None
                 for name, column in zip(cont, values.T):
                     parts[name].append(column.copy())
+            words = _words(block) if cat else None
             for name in cat:
                 pos = position[name]
-                parts[name].append(_first_seen(buf, starts[:, pos], lengths[:, pos], seen[name]))
+                parts[name].append(_first_seen(block, words, starts[:, pos], lengths[:, pos], seen[name]))
     if not rows:
         return None
 

@@ -528,6 +528,34 @@ def load_csv_by_rows(path, schema):
     return Dataset(schema, arrays)
 
 
+def first_seen_by_byte_strings(buf, starts, lengths, seen):
+    """The columnar reader's categorical coder as np.unique over fixed-width
+    byte strings: each cell's rank in seen, which maps every value met so
+    far to its rank of first appearance and is extended in cell order.
+
+    This is the coder as it stood before cells were coded by their 8-byte
+    words, kept whole: cells are gathered through an index matrix of at
+    most 256 KiB per np.unique call.  A cell's trailing NUL bytes are
+    lost to the byte strings."""
+    width = int(lengths.max())
+    offsets = np.arange(width)
+    step = max(1, (1 << 18) // (8 * width))
+    out = []
+    for lo in range(0, len(starts), step):
+        at = starts[lo : lo + step, None] + offsets
+        np.minimum(at, len(buf) - 1, out=at)
+        matrix = buf[at]
+        matrix[offsets >= lengths[lo : lo + step, None]] = 0
+        keys = matrix.view(f"S{width}").ravel()
+        values, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        values = values.tolist()
+        rank = np.empty(len(values), dtype=np.int64)
+        for u in np.argsort(first).tolist():
+            rank[u] = seen.setdefault(values[u], len(seen))
+        out.append(rank[inverse.ravel()])
+    return np.concatenate(out)
+
+
 def write_csv_by_rows(dataset, path):
     """write_csv() as one csv.writer row and one repr or value_of per cell.
 

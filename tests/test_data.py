@@ -30,7 +30,7 @@ from invarmine.predicates import CategoricalEquals, Interval
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset, make_schema, support, write_text
-from oracles import load_csv_by_rows, write_csv_by_rows
+from oracles import first_seen_by_byte_strings, load_csv_by_rows, write_csv_by_rows
 
 
 class TestSchema:
@@ -254,7 +254,8 @@ LOADER_CASES = {
     "long row": (b"X1,U1,X2,U2\n1,a,2,b,c\n", False),
     "short row then long row": (b"X1,U1,X2,U2\n1,a\n2,b,1,a,2,b\n", False),
     "empty categorical cell": (b"X1,U1,X2,U2\n1,,2,b\n", False),
-    "empty extra cell": (b"X1,U1,X2,U2,Z\n1,a,2,b,\n", False),
+    "empty extra cell": (b"X1,U1,X2,U2,Z\n1,a,2,b,\n", True),
+    "empty extra cells, CRLF": (b"Z,X1,U1,X2,U2,W\r\n,1,a,2,b,\r\nq,2,b,3,c,\r\n", True),
     "underscore": (b"X1,U1,X2,U2\n1_0,a,2,b\n", False),
     "Arabic-Indic digit": ("X1,U1,X2,U2\n\u0661,a,2,b\n".encode(), False),
     "full-width digit": ("X1,U1,X2,U2\n\uff11,a,2,b\n".encode(), False),
@@ -278,6 +279,27 @@ LOADER_CASES = {
     "bad value after a good block": (b"X1,U1,X2,U2\n1,a,2,b\n" * 40 + b"1,z,x,b\n", False),
 }
 
+# categorical values around the 8-byte words the columnar reader codes
+# cells by; _word_rows puts each value in both columns and in several rows
+WORD_VALUES = {
+    "7-, 8- and 9-byte values": ["abcdefg", "abcdefgh", "abcdefghi"],
+    "16- and 17-byte values": ["abcdefghijklmnop", "abcdefghijklmnopq"],
+    "values sharing their first 8 bytes": ["abcdefghX", "abcdefghY"],
+    "values sharing their first 16 bytes": ["abcdefghijklmnopX", "abcdefghijklmnopY"],
+    "a value that prefixes another": ["ab", "abcdefghijk", "abcdefghij"],
+    "a UTF-8 character across bytes 8-9": ["abcdefg\u00e9", "abcdefg\u00e8", "abcdefg"],
+}
+
+
+def _word_rows(values, template):
+    rows = [template.format(i=i, a=a, b=b) for i, (a, b) in enumerate(zip(values + values[::-1], values[1:] + values))]
+    return "".join(row + "\n" for row in rows).encode()
+
+
+LOADER_CASES.update(
+    (name, (b"X1,U1,X2,U2\n" + _word_rows(values, "{i},{a},-{i},{b}"), True)) for name, values in WORD_VALUES.items()
+)
+
 
 # without a continuous column no loadtxt call sees the file
 CATEGORICAL_CASES = {
@@ -285,6 +307,15 @@ CATEGORICAL_CASES = {
     "lone CR": (b"U1,U2\na\rb,c\n", False),
     "trailing NUL": (b"U1,U2\na\x00,b\n", False),
     "blank line": (b"U1,U2\na,b\n\nc,d\n", False),
+}
+CATEGORICAL_CASES.update((name, (b"U1,U2\n" + _word_rows(values, "{a},{b}"), True)) for name, values in WORD_VALUES.items())
+
+# with one column a blank line is an empty schema cell, not a short row
+ONE_COLUMN_CASES = {
+    "one column": (b"U1\na\nb\n", True),
+    "blank line": (b"U1\na\n\nb\n", False),
+    "blank CRLF line": (b"U1\r\na\r\n\r\nb\r\n", False),
+    "blank last line": (b"U1\na\n\n", False),
 }
 
 
@@ -294,12 +325,19 @@ def _categorical_schema():
     return schema
 
 
+def _one_column_schema():
+    return make_schema(cat=("U1",))
+
+
 @pytest.mark.parametrize("block", [None, 16], ids=["one block", "16-byte blocks"])
 @pytest.mark.parametrize(
     "content,columnar,schema",
     [(*case, _schema_with_values) for case in LOADER_CASES.values()]
-    + [(*case, _categorical_schema) for case in CATEGORICAL_CASES.values()],
-    ids=list(LOADER_CASES) + [f"categorical only, {name}" for name in CATEGORICAL_CASES],
+    + [(*case, _categorical_schema) for case in CATEGORICAL_CASES.values()]
+    + [(*case, _one_column_schema) for case in ONE_COLUMN_CASES.values()],
+    ids=list(LOADER_CASES)
+    + [f"categorical only, {name}" for name in CATEGORICAL_CASES]
+    + [f"one column, {name}" for name in ONE_COLUMN_CASES],
 )
 def test_loader_case_reads_like_the_row_parser(tmp_path, content, columnar, schema, block):
     path = tmp_path / "d.csv"
@@ -326,6 +364,7 @@ def test_values_first_seen_in_a_later_block(tmp_path):
 CONT_CELLS = ["0", "1.5", "-2.25", "1e5", "-0", ".5", " 3", "4 ", "\u00a05", "\t6", "1_0", "\u0661",
               "\uff11", "nan", "inf", "-inf", "1e400", "abc", "", "0x10", "1.5.2", '"7"', '"8,5"']
 CAT_CELLS = ["a", "b", "lo", "hi", "\u00e9", "\u65e5\u672c", " a", "a b", "", '"c,d"', 'x"y', "1"]
+CAT_CELLS += [value for values in WORD_VALUES.values() for value in values]
 
 
 @st.composite
@@ -364,6 +403,53 @@ def test_generated_files_read_like_the_row_parser(tmp_path_factory, block, conte
     path.write_bytes(content)
     with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
         assert_reads_like_the_row_parser(str(path), schema())
+
+
+@st.composite
+def coder_blocks(draw):
+    """Blocks of 1-20-byte cells for the categorical coder: few distinct
+    values, most sharing a prefix that ends on or near a word boundary,
+    with the cell offsets and lengths of each block."""
+    prefix = st.sampled_from([b"", b"abcdefg", b"abcdefgh", b"abcdefghi", b"abcdefghijklmnop", b"\xc3"])
+    tail = st.lists(st.sampled_from([0x61, 0x62, 0x2C, 0x0A, 0x01, 0xC3, 0xA9, 0xFF]), max_size=12).map(bytes)
+    value = st.tuples(prefix, tail).map(lambda p: (p[0] + p[1])[:20]).filter(len)
+    pool = draw(st.lists(value, min_size=1, max_size=8))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        gaps = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
+        block, starts = b"", []
+        for cell, gap in zip(cells, gaps):
+            block += b";" * gap
+            starts.append(len(block))
+            block += cell
+        lengths = np.array([len(cell) for cell in cells], dtype=np.int64)
+        blocks.append((block + b"\n", np.array(starts, dtype=np.int64), lengths))
+    return blocks
+
+
+class _CountedLookups(dict):
+    """A first-seen dict that counts its setdefault calls."""
+
+    lookups = 0
+
+    def setdefault(self, key, default=None):
+        self.lookups += 1
+        return super().setdefault(key, default)
+
+
+@given(blocks=coder_blocks())
+def test_first_seen_codes_like_the_byte_string_reference(blocks):
+    seen, expected_seen = _CountedLookups(), {}
+    for block, starts, lengths in blocks:
+        expected = first_seen_by_byte_strings(np.frombuffer(block, dtype=np.uint8), starts, lengths, expected_seen)
+        lookups = seen.lookups
+        got = data._first_seen(block, data._words(block), starts, lengths, seen)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+        assert list(seen.items()) == list(expected_seen.items())
+        # equal cells share one key whatever bytes follow them
+        assert seen.lookups - lookups == len({block[s : s + n] for s, n in zip(starts, lengths)})
 
 
 def test_columnar_peak_memory_is_at_most_the_row_parsers(tmp_path):
