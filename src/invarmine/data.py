@@ -14,7 +14,8 @@ continuous columns with np.loadtxt and codes categorical cells by their
 it reads exactly as csv.reader and float() do (unquoted UTF-8 without
 stray control characters) and otherwise hands the file to the row
 parser, which is the only one that raises DataError.  Neither changes
-the schema unless the whole file loads.
+the schema unless every row read loads.  Given a row count, both stop at
+that row: nothing after it is parsed, checked or decoded.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -151,12 +154,28 @@ class Schema:
         return f"Schema({cols})"
 
 
-def load_schema(path: str) -> Schema:
+def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int) -> DataError:
+    """The error for a file that is not UTF-8; exc came from decoding the
+    bytes that start at offset in the file."""
+    byte = exc.object[exc.start]
+    return DataError(f"{path}: not UTF-8: byte {byte:#04x} at offset {offset + exc.start} ({exc.reason})")
+
+
+def read_text(path: str) -> str:
+    """The whole file at path as UTF-8 text with universal newlines; a
+    byte that is not UTF-8 raises DataError naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
+            return fh.read()
+        except UnicodeDecodeError as exc:  # read() decodes every byte in one call
+            raise _not_utf8(path, exc, 0) from None
+
+
+def load_schema(path: str) -> Schema:
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
     try:
         return Schema.from_dict(payload)
     except DataError as exc:
@@ -253,15 +272,22 @@ class Dataset:
         return Dataset(self.schema, {n: a[idx] for n, a in self._arrays.items()})
 
 
-def load_csv(path: str, schema: Schema) -> Dataset:
+def load_csv(path: str, schema: Schema, *, rows: int | None = None) -> Dataset:
     """Parse a comma-separated file against a schema.
 
     The header must contain every schema column (extra file columns are
     ignored).  Continuous cells must parse as finite numbers; empty cells
     are rejected.  Categorical values are interned into the schema's
     dictionaries in first-seen order, extending them in place, and only
-    once the whole file has parsed: on error the schema is unchanged.
-    Errors name the offending zero-based data row and column.
+    once every row read has parsed: on error the schema is unchanged.
+    Errors name the offending zero-based data row and column, or the
+    offset of a byte that is not UTF-8.
+
+    With rows, at most that many data rows are read: the result, error
+    and interned values are exactly those of a file holding the header
+    and the file's first rows records, so nothing after them can fail
+    the load.  A file with fewer records reads whole.  rows below 1
+    raises DataError.
 
     The dialect is csv.reader's default (comma delimiter, double-quote
     quoting, LF, CRLF or CR line ends) over UTF-8.  A file with no quote,
@@ -269,8 +295,10 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     the row parser would reject is read column by column; any other file
     goes through the row parser, with the same result or error.
     """
-    dataset = _load_columns(path, schema)
-    return dataset if dataset is not None else _load_rows(path, schema)
+    if rows is not None and rows < 1:
+        raise DataError(f"rows must be at least 1, got {rows}")
+    dataset = _load_columns(path, schema, rows)
+    return dataset if dataset is not None else _load_rows(path, schema, rows)
 
 
 # The columnar reader's unit of work: a block is this many bytes plus the
@@ -382,7 +410,7 @@ def _first_seen(
     return rank[code]
 
 
-def _load_columns(path: str, schema: Schema) -> Dataset | None:
+def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset | None:
     """load_csv's columnar path, or None when it cannot show that it reads
     the file exactly as _load_rows does; None leaves the schema untouched.
 
@@ -391,7 +419,10 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
     continuous columns parsed by np.loadtxt, and categorical values
     ranked by first appearance (_first_seen); the schema interns them
     only after the last block has passed.  A column the schema does not
-    read may hold empty cells.
+    read may hold empty cells.  With rows, the block holding the last row
+    wanted is cut after that row's LF and no later block is read: in a
+    plain block each LF ends one record, and a lone CR before the cut
+    still sends the file to the row parser.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -411,17 +442,20 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
         used = [position[n] for n in schema.names]
         parts: dict[str, list[np.ndarray]] = {n: [] for n in schema.names}
         seen: dict[str, dict[bytes, int]] = {n: {} for n in cat}
-        rows = 0
-        while block := fh.read(_BLOCK_BYTES):
+        taken = 0
+        while taken != rows and (block := fh.read(_BLOCK_BYTES)):
             block += fh.readline()
             if not block.endswith(b"\n"):
                 block += b"\n"
+            if rows is not None and block.count(b"\n") >= rows - taken:
+                lf = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+                block = block[: lf[rows - taken - 1] + 1]
             buf = np.frombuffer(block, dtype=np.uint8)
             cells = _cells(buf, width, used) if _plain(block) else None
             if cells is None:
                 return None
             starts, lengths = cells
-            rows += len(starts)
+            taken += len(starts)
             if cont:
                 # latin-1 makes each byte one character: an ASCII cell reads
                 # as in UTF-8, and any other cell holds a UTF-8 lead byte that
@@ -447,7 +481,7 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
             for name in cat:
                 pos = position[name]
                 parts[name].append(_first_seen(block, words, starts[:, pos], lengths[:, pos], seen[name]))
-    if not rows:
+    if not taken:
         return None
 
     arrays: dict[str, np.ndarray] = {}
@@ -459,57 +493,86 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
     return Dataset(schema, arrays)
 
 
-def _load_rows(path: str, schema: Schema) -> Dataset:
-    """load_csv's row parser: csv.reader and float() cell by cell.  It
-    takes any file and words every DataError; Dataset.from_columns codes
-    the categorical values once every row has parsed."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _utf8_lines(path: str, fh) -> Iterator[str]:
+    """The lines of fh, opened as latin-1 with newline="" so that each
+    character is one byte, decoded from UTF-8 one line at a time: no byte
+    after the last line taken is decoded."""
+    offset = 0
+    for line in fh:
+        raw = line.encode("latin-1")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        except csv.Error as exc:  # not a ValueError: a cell over csv.field_size_limit(), say
-            raise DataError(f"{path}: header: {exc}") from None
-        positions: dict[str, int] = {}
-        for pos, name in enumerate(header):
-            if name in positions and name in schema.names:
-                raise DataError(f"{path}: duplicate header column {name!r}")
-            positions.setdefault(name, pos)
-        for name in schema.names:
-            if name not in positions:
-                raise DataError(f"{path}: header omits schema column {name!r}")
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, offset) from None
+        offset += len(raw)
+        yield text
 
-        cont_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CONTINUOUS]
-        cat_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CATEGORICAL]
-        columns: dict[str, list] = {n: [] for n in schema.names}
-        # one string object per distinct value, however many cells repeat it
-        distinct: dict[str, str] = {}
 
-        width = max(positions[n] for n in schema.names) + 1
-        i = -1
-        try:
-            for i, record in enumerate(reader):
-                if len(record) < width:
-                    raise DataError(f"{path}: row {i}: expected at least {width} fields, got {len(record)}")
-                for name, pos in cont_cols:
-                    cell = record[pos]
-                    if cell == "":
-                        raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number") from None
-                    if not math.isfinite(value):
-                        raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
-                    columns[name].append(value)
-                for name, pos in cat_cols:
-                    cell = record[pos]
-                    if cell == "":
-                        raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-                    columns[name].append(distinct.setdefault(cell, cell))
-        except csv.Error as exc:
-            raise DataError(f"{path}: row {i + 1}: {exc}") from None
+def _load_rows(path: str, schema: Schema, rows: int | None = None) -> Dataset:
+    """load_csv's row parser: csv.reader and float() cell by cell, over at
+    most rows records.  It takes any file and words every DataError.
+
+    A text file decodes a chunk ahead of the records taken, so a byte
+    that is not UTF-8 can stop it before an earlier row's error or past
+    the last row wanted.  Then the file is parsed again through
+    _utf8_lines, which decodes only the lines csv.reader takes."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_rows(path, fh, schema, rows)
+    except UnicodeDecodeError:
+        with open(path, newline="", encoding="latin-1") as fh:
+            return _parse_rows(path, _utf8_lines(path, fh), schema, rows)
+
+
+def _parse_rows(path: str, lines: Iterator[str], schema: Schema, rows: int | None) -> Dataset:
+    """_load_rows over the file's lines; Dataset.from_columns codes the
+    categorical values once every row has parsed."""
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:  # not a ValueError: a cell over csv.field_size_limit(), say
+        raise DataError(f"{path}: header: {exc}") from None
+    positions: dict[str, int] = {}
+    for pos, name in enumerate(header):
+        if name in positions and name in schema.names:
+            raise DataError(f"{path}: duplicate header column {name!r}")
+        positions.setdefault(name, pos)
+    for name in schema.names:
+        if name not in positions:
+            raise DataError(f"{path}: header omits schema column {name!r}")
+
+    cont_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CONTINUOUS]
+    cat_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CATEGORICAL]
+    columns: dict[str, list] = {n: [] for n in schema.names}
+    # one string object per distinct value, however many cells repeat it
+    distinct: dict[str, str] = {}
+
+    width = max(positions[n] for n in schema.names) + 1
+    i = -1
+    try:
+        for i, record in enumerate(islice(reader, rows)):
+            if len(record) < width:
+                raise DataError(f"{path}: row {i}: expected at least {width} fields, got {len(record)}")
+            for name, pos in cont_cols:
+                cell = record[pos]
+                if cell == "":
+                    raise DataError(f"{path}: row {i}, column {name!r}: missing value")
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
+                columns[name].append(value)
+            for name, pos in cat_cols:
+                cell = record[pos]
+                if cell == "":
+                    raise DataError(f"{path}: row {i}, column {name!r}: missing value")
+                columns[name].append(distinct.setdefault(cell, cell))
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {i + 1}: {exc}") from None
 
     if i < 0:
         raise DataError(f"{path}: no data rows")
@@ -637,14 +700,13 @@ def compute_column_stats(dataset: Dataset) -> ColumnStats:
 def load_labels(path: str) -> np.ndarray:
     """Parse a labels file: one 0 or 1 per line, anomalies marked 1."""
     labels: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise DataError(f"{path}: line {i}: label must be 0 or 1, got {text!r}")
-            labels.append(int(text))
+    for i, line in enumerate(read_text(path).split("\n")):
+        text = line.strip()
+        if not text:
+            continue
+        if text not in ("0", "1"):
+            raise DataError(f"{path}: line {i}: label must be 0 or 1, got {text!r}")
+        labels.append(int(text))
     if not labels:
         raise DataError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)

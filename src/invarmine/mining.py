@@ -54,6 +54,7 @@ from .data import (
     DataError,
     Dataset,
     Schema,
+    read_text,
 )
 from .predicates import (
     CategoricalDisjunction,
@@ -514,11 +515,10 @@ def save_ruleset(ruleset: RuleSet, path: str) -> None:
 
 def load_ruleset(path: str) -> RuleSet:
     """Read a rule file; any malformed content raises DataError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != "invariant-ruleset":
         raise DataError(f"{path}: not a rule file")
     try:

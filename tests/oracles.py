@@ -471,14 +471,29 @@ def load_csv_by_rows(path, schema):
 
     This is the row parser as it stood before the columnar reader, kept
     whole: like it, it interns into the schema as it goes, so a file that
-    fails part-way leaves the values met before the error behind."""
+    fails part-way leaves the values met before the error behind.  The
+    one change since: lines, split as newline="" splits them, are decoded
+    from UTF-8 one at a time as csv.reader takes them, and a byte that is
+    not UTF-8 is a DataError giving its offset in the file."""
     import csv
     import math
 
     from invarmine.data import CATEGORICAL, CONTINUOUS, DataError, Dataset
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    def decoded(lines):
+        offset = 0
+        for line in lines:
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                at = offset + exc.start
+                raise DataError(
+                    f"{path}: not UTF-8: byte 0x{line[exc.start]:02x} at offset {at} ({exc.reason})"
+                ) from None
+            offset += len(line)
+
+    with open(path, "rb") as fh:
+        reader = csv.reader(decoded(fh.read().splitlines(keepends=True)))
         try:
             header = next(reader)
         except StopIteration:

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invarmine import cli, mining
-from invarmine.data import load_csv, save_schema, write_csv
+from invarmine.data import DataError, load_csv, save_schema, write_csv
 from invarmine.detect import DetectionConfig, detect, explain
 from invarmine.evaluate import LabeledScores, standardized_pauc
 from invarmine.mining import MiningConfig, load_ruleset
@@ -206,6 +206,32 @@ class TestScore:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith("error: ")
+
+
+# each command and the file it reads that holds a byte that is not UTF-8
+NOT_UTF8_FILES = {
+    "train --data": ("train", "--data"),
+    "train --schema": ("train", "--schema"),
+    "score --rules": ("score", "--rules"),
+    "evaluate --labels": ("evaluate", "--labels"),
+}
+
+
+@pytest.mark.parametrize("command, flag", NOT_UTF8_FILES.values(), ids=NOT_UTF8_FILES.keys())
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(workdir, capsys, tmp_path, command, flag):
+    args = {
+        "train": ["train", "--data", workdir["train"], "--schema", workdir["schema"], "--theta", "0.2",
+                  "--gamma", "0.3", "--out", str(tmp_path / "rules.json")],
+        "score": ["score", "--rules", workdir["rules"], "--data", workdir["test"], "--out", str(tmp_path / "out.jsonl")],
+        "evaluate": ["evaluate", "--rules", workdir["rules"], "--data", workdir["test"], "--labels", workdir["labels"]],
+    }[command]
+    at = args.index(flag) + 1
+    content = Path(args[at]).read_bytes()
+    bad = tmp_path / Path(args[at]).name
+    bad.write_bytes(content[:5] + b"\xff" + content[6:])
+    args[at] = str(bad)
+    assert cli.main(args) == 3
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8: byte 0xff at offset 5 (invalid start byte)\n"
 
 
 def _predicate(payload, text):
@@ -540,6 +566,35 @@ class TestExplain:
         captured = capsys.readouterr()
         assert code == 3
         assert "row 999 out of range" in captured.err
+
+    def test_row_far_out_of_range_names_the_files_row_count(self, workdir, capsys):
+        args = ["explain", "--rules", workdir["rules"], "--data", workdir["test"], "--row", "1000000000000"]
+        message = f"row 1000000000000 out of range: file has {workdir['test_rows']} rows"
+        with pytest.raises(DataError) as exc:
+            cli.cmd_explain(cli.build_parser().parse_args(args))
+        assert str(exc.value) == message
+        assert cli.main(args) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_only_rows_through_the_one_explained_are_read(self, workdir, capsys, tmp_path):
+        ruleset = load_ruleset(workdir["rules"])
+        reports = detect(ruleset, load_csv(workdir["test"], ruleset.schema.copy()), DetectionConfig())
+        row = next(r.row for r in reports if r.is_anomaly and r.row + 1 < len(reports))
+        args = ["explain", "--rules", workdir["rules"], "--row"]
+        assert cli.main(args + [str(row), "--data", workdir["test"]]) == 0
+        expected = capsys.readouterr().out
+        # write_csv ends lines with CRLF; line row + 2 is row row + 1, and X1 is its first cell
+        lines = Path(workdir["test"]).read_bytes().split(b"\r\n")
+        lines[row + 2] = b"abc" + lines[row + 2][lines[row + 2].index(b",") :]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataError) as exc:
+            load_csv(str(bad), ruleset.schema.copy())
+        assert f"row {row + 1}, column 'X1': cannot parse 'abc'" in str(exc.value)
+        assert cli.main(args + [str(row), "--data", str(bad)]) == 0
+        assert capsys.readouterr().out == expected
+        assert cli.main(args + [str(row + 1), "--data", str(bad)]) == 3
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 class TestEvaluate:

@@ -96,6 +96,15 @@ class TestSchema:
         with pytest.raises(DataError, match="not valid JSON"):
             load_schema(path)
 
+    def test_load_schema_names_a_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "schema.json"
+        content = b'{"columns": [{"name": "X\xe9", "kind": "continuous"}]}'
+        path.write_bytes(content)
+        with pytest.raises(DataError) as exc:
+            load_schema(str(path))
+        at = content.index(b"\xe9")
+        assert str(exc.value) == f"{path}: not UTF-8: byte 0xe9 at offset {at} (invalid continuation byte)"
+
 
 class TestLoadCsv:
     def test_three_row_file(self, tmp_path):
@@ -178,6 +187,29 @@ class TestLoadCsv:
             load_csv(path, schema)
         assert schema.column("U1").values == ["a"]
         assert schema.code_for("U1", "z") is None
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"X1,U1\n1,a\n2,\xff\n", b'X1,U1\n"1",a\n2,\xff\n', b"X1,U1\r\n1,a\r\n2,\xc3\r\n"],
+        ids=["columnar", "quoted", "truncated character"],
+    )
+    def test_a_byte_that_is_not_utf8_is_a_data_error_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        schema = make_schema(cont=("X1",), cat=("U1",))
+        with pytest.raises(DataError) as exc:
+            load_csv(str(path), schema)
+        at = content.index(b"2,") + 2
+        reason = "invalid start byte" if content[at] == 0xFF else "invalid continuation byte"
+        assert str(exc.value) == f"{path}: not UTF-8: byte {content[at]:#04x} at offset {at} ({reason})"
+        assert schema.column("U1").values == []
+
+    def test_an_earlier_bad_cell_wins_over_a_later_byte_that_is_not_utf8(self, tmp_path):
+        # both in the first 8 KiB that a text file decodes at once
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'X1,U1\n"1",a\nabc,b\n' + b"3,a\n" * 100 + b"4,\xff\n")
+        with pytest.raises(DataError, match="row 1, column 'X1': cannot parse 'abc' as a number"):
+            load_csv(str(path), make_schema(cont=("X1",), cat=("U1",)))
 
     @pytest.mark.parametrize("where", ["header", "row 1"])
     def test_cell_over_the_csv_field_limit_is_a_data_error(self, tmp_path, where):
@@ -403,6 +435,140 @@ def test_generated_files_read_like_the_row_parser(tmp_path_factory, block, conte
     path.write_bytes(content)
     with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
         assert_reads_like_the_row_parser(str(path), schema())
+
+
+def _first_records(content, k):
+    """content through the end of its header and first k records, as
+    csv.reader splits records: the file load_csv(..., rows=k) reads like.
+    Lines split as newline="" splits them, and latin-1 keeps every byte,
+    since csv's special characters are ASCII."""
+    lines = content.splitlines(keepends=True)
+    taken = 0
+
+    def fed():
+        nonlocal taken
+        for line in lines:
+            taken += 1
+            yield line.decode("latin-1")
+
+    reader = csv.reader(fed())
+    for _ in range(k + 1):
+        try:
+            next(reader)
+        except (StopIteration, csv.Error):  # an error in a record taken is in the cut file too
+            break
+    return b"".join(lines[:taken])
+
+
+def assert_reads_like_the_cut_file(path, content, k, schema):
+    """load_csv and the row parser with rows=k read content as load_csv
+    reads it cut after k records: equal arrays and schema, or the same
+    exception with the schema untouched.  The columnar reader with k
+    agrees or gives up; returns whether it read the file, and then
+    load_csv reads it with the row parser failing."""
+    path.write_bytes(_first_records(content, k))
+    expected = _outcome(load_csv, str(path), schema)
+    path.write_bytes(content)
+    for read in (load_csv, data._load_rows):
+        assert _outcome(lambda p, s: read(p, s, rows=k), str(path), schema) == expected
+    untouched = schema.copy()
+    columnar = data._load_columns(str(path), untouched, k)
+    if columnar is None:
+        assert untouched == schema
+        return False
+    assert _contents(columnar) == expected
+    with mock.patch.object(data, "_load_rows", _no_row_parser):
+        assert _contents(load_csv(str(path), schema.copy(), rows=k)) == expected
+    return True
+
+
+def _no_row_parser(*args, **kwargs):
+    raise AssertionError("the row parser read the file")
+
+
+@pytest.mark.parametrize("block", [None, 3, 16], ids=["one block", "3-byte blocks", "16-byte blocks"])
+@given(content=csv_files(), schema=st.sampled_from([_schema_with_values, _categorical_schema]), k=st.integers(1, 8))
+def test_first_rows_read_like_the_file_cut_after_them(tmp_path_factory, block, content, schema, k):
+    path = tmp_path_factory.mktemp("first_rows") / "d.csv"
+    with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
+        assert_reads_like_the_cut_file(path, content, k, schema())
+
+
+def _numbered_rows(count, end="\n"):
+    """A header and count 4-byte rows (5 with CRLF) over X1 and U1."""
+    return ("X1,U1" + end + "".join(f"{i % 10},{'ab'[i % 2]}{end}" for i in range(count))).encode()
+
+
+class TestFirstRows:
+    """load_csv(path, schema, rows=k) against load_csv of the file cut after k records."""
+
+    @staticmethod
+    def schema():
+        return make_schema(cont=("X1",), cat=("U1",))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_every_k_around_block_boundaries_stays_columnar(self, tmp_path, monkeypatch, end):
+        # 6- or 8-byte reads plus the rest of the line: blocks of two rows, so
+        # every even k ends a block and every odd k cuts one
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 6 if end == "\n" else 8)
+        content = _numbered_rows(9, end)
+        for k in range(1, 12):
+            assert assert_reads_like_the_cut_file(tmp_path / "d.csv", content, k, self.schema())
+        assert load_csv(str(tmp_path / "d.csv"), self.schema(), rows=1).column("X1").tolist() == [0.0]
+        assert load_csv(str(tmp_path / "d.csv"), self.schema(), rows=100).row_count == 9
+
+    # lines that send a whole file to the row parser or fail it
+    AFTER_ROW_K = {
+        "quote": '3,"q"',
+        "short line": "3",
+        "bad cell": "abc,a",
+        "empty cell": "3,",
+        "blank line": "",
+        "lone CR": "3,a\r4,b",
+        "NUL": "3,a\x00",
+        "not UTF-8": "3,\udcff",
+    }
+
+    @pytest.mark.parametrize("block", [None, 6], ids=["one block", "6-byte blocks"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("line", AFTER_ROW_K.values(), ids=AFTER_ROW_K.keys())
+    def test_a_bad_line_after_row_k_changes_nothing(self, tmp_path, monkeypatch, block, end, line):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES)
+        for k in (1, 2, 3):
+            head = _numbered_rows(k, end)
+            content = head + (line + end).encode("utf-8", "surrogateescape") + head.split(end.encode(), 1)[1]
+            assert assert_reads_like_the_cut_file(tmp_path / "d.csv", content, k, self.schema())
+
+    @pytest.mark.parametrize("line", AFTER_ROW_K.values(), ids=AFTER_ROW_K.keys())
+    def test_the_row_parser_stops_at_row_k(self, tmp_path, line):
+        # the quoted first cell keeps the file off the columnar path
+        content = b'X1,U1\n"1",a\n2,b\n' + (line + "\n").encode("utf-8", "surrogateescape") + b"3,a\n"
+        path = tmp_path / "d.csv"
+        assert not assert_reads_like_the_cut_file(path, content, 2, self.schema())
+        assert load_csv(str(path), self.schema(), rows=2).column("X1").tolist() == [1.0, 2.0]
+
+    def test_a_bad_byte_past_row_k_in_the_row_parsers_chunk_changes_nothing(self, tmp_path):
+        # csv.reader's text file decodes 8 KiB ahead, well past row 2
+        content = b'X1,U1\n"1",a\n2,b\n' + b"3,a\n" * 100 + b"4,\xff\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        dataset = load_csv(str(path), self.schema(), rows=2)
+        assert dataset.column("X1").tolist() == [1.0, 2.0]
+        assert dataset.schema.column("U1").values == ["a", "b"]
+        with pytest.raises(DataError, match=f"not UTF-8: byte 0xff at offset {len(content) - 2}"):
+            load_csv(str(path), self.schema())
+
+    def test_values_after_row_k_are_not_interned(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "X1,U1\n1,a\n2,b\n3,c\n")
+        schema = self.schema()
+        load_csv(path, schema, rows=2)
+        assert schema.column("U1").values == ["a", "b"]
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_fewer_than_one_row_is_a_data_error(self, tmp_path, rows):
+        # refused before the file is opened: a missing file would be an OSError
+        with pytest.raises(DataError, match=f"rows must be at least 1, got {rows}"):
+            load_csv(str(tmp_path / "missing.csv"), self.schema(), rows=rows)
 
 
 @st.composite
@@ -735,6 +901,19 @@ class TestLabels:
         path = write_text(tmp_path / "labels.txt", "\n\n")
         with pytest.raises(DataError, match="no labels"):
             load_labels(path)
+
+    def test_a_byte_that_is_not_utf8_is_named_with_the_file(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"0\r\n1\r\n\xff\r\n")
+        with pytest.raises(DataError) as exc:
+            load_labels(str(path))
+        assert str(exc.value) == f"{path}: not UTF-8: byte 0xff at offset 6 (invalid start byte)"
+
+    def test_line_numbers_count_every_line_end(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"0\r1\r\n\n2\n")
+        with pytest.raises(DataError, match="line 3: label must be 0 or 1, got '2'"):
+            load_labels(str(path))
 
 
 def test_format_number_integral_values_drop_the_point():

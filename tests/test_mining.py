@@ -604,6 +604,16 @@ class TestRuleSetFiles:
         with pytest.raises(DataError, match="not valid JSON"):
             load_ruleset(str(path))
 
+    def test_load_names_a_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "rules.json"
+        save_ruleset(self.build(), str(path))
+        content = path.read_bytes()
+        at = content.index(b"X1")
+        path.write_bytes(content[:at] + b"\xff" + content[at + 1 :])
+        with pytest.raises(DataError) as exc:
+            load_ruleset(str(path))
+        assert str(exc.value) == f"{path}: not UTF-8: byte 0xff at offset {at} (invalid start byte)"
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
