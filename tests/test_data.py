@@ -547,17 +547,6 @@ class TestFirstRows:
         assert not assert_reads_like_the_cut_file(path, content, 2, self.schema())
         assert load_csv(str(path), self.schema(), rows=2).column("X1").tolist() == [1.0, 2.0]
 
-    def test_a_bad_byte_past_row_k_in_the_row_parsers_chunk_changes_nothing(self, tmp_path):
-        # csv.reader's text file decodes 8 KiB ahead, well past row 2
-        content = b'X1,U1\n"1",a\n2,b\n' + b"3,a\n" * 100 + b"4,\xff\n"
-        path = tmp_path / "d.csv"
-        path.write_bytes(content)
-        dataset = load_csv(str(path), self.schema(), rows=2)
-        assert dataset.column("X1").tolist() == [1.0, 2.0]
-        assert dataset.schema.column("U1").values == ["a", "b"]
-        with pytest.raises(DataError, match=f"not UTF-8: byte 0xff at offset {len(content) - 2}"):
-            load_csv(str(path), self.schema())
-
     def test_values_after_row_k_are_not_interned(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "X1,U1\n1,a\n2,b\n3,c\n")
         schema = self.schema()
