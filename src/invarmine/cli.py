@@ -197,7 +197,7 @@ def _labels_for(path: str, dataset: Dataset) -> np.ndarray:
     """The labels file at path, one label per row of dataset."""
     labels = load_labels(path)
     if len(labels) != dataset.row_count:
-        raise ValueError(f"label count {len(labels)} does not match row count {dataset.row_count}")
+        raise DataError(f"{path}: label count {len(labels)} does not match row count {dataset.row_count}")
     return labels
 
 

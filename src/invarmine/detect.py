@@ -23,18 +23,19 @@ each predicate's row mask from the same arrays.
 Explanations are built per rule from arrays, not per row: the rows that
 break a rule through the same failed consequents share one RuleViolation,
 found by one integer code per violated row (bit j: consequent j failed).
-detect returns the reports as arrays (Reports): the score array, phi, and
-a map from each violated row to its RuleViolations.  The per-row
-AnomalyReport objects are built only when a caller indexes or iterates
-the reports; write_reports renders the file straight from the arrays,
-each distinct violation once, so the score command builds none of them.
+detect returns the reports as arrays (Reports): the score array, phi,
+the distinct RuleViolations and, per violated row, the ids of its
+violations in compressed sparse row form.  An AnomalyReport is built
+only when a caller indexes or iterates the reports; write_reports
+renders the file straight from the arrays, each distinct violation once,
+so the score command builds none of them.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -179,40 +180,29 @@ def score_point(ruleset: RuleSet, point: DataPoint) -> float:
     return score
 
 
+@dataclass(eq=False, repr=False)
 class Reports(Sequence[AnomalyReport]):
     """What detect returns: one AnomalyReport per row, held as arrays.
 
-    ``scores`` is the read-only score array, ``phi`` the threshold, and
-    ``violated`` maps each row that breaks a rule to its RuleViolations
-    in rule-id order; a row absent from it is clean.  The AnomalyReport
-    objects are built on first index or iteration, all at once, and
-    kept, so every later access returns the same objects.  write_reports
-    renders the file from the arrays without building them.
+    ``scores`` is the score array and ``phi`` the threshold.
+    ``violations`` holds each distinct RuleViolation once; ``hit`` lists
+    the rows that break a rule, ascending, and row ``hit[j]`` breaks
+    ``violations[k]`` for k in ``ids[starts[j]:starts[j + 1]]``, in
+    rule-id order.  A row absent from ``hit`` is clean.  The arrays are
+    read-only.  Each index or iteration builds new AnomalyReport objects,
+    each with its own list; write_reports builds none.
     """
 
-    def __init__(self, scores: np.ndarray, phi: float, violated: dict[int, list[RuleViolation]]):
-        scores.flags.writeable = False
-        self.scores = scores
-        self.phi = phi
-        self.violated = violated
-        self._built: list[AnomalyReport] | None = None
+    scores: np.ndarray
+    phi: float
+    violations: tuple[RuleViolation, ...]
+    hit: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
 
-    def _reports(self) -> list[AnomalyReport]:
-        if self._built is None:
-            phi, get = self.phi, self.violated.get
-            # two new container objects per row and none freed: the collector
-            # would run again and again over the growing list and find nothing
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                self._built = [  # each report owns its list; the map stays as detect left it
-                    AnomalyReport(row=i, score=s, is_anomaly=s > phi, violations=list(get(i, ())))
-                    for i, s in enumerate(self.scores.tolist())
-                ]
-            finally:
-                if collecting:
-                    gc.enable()
-        return self._built
+    def __post_init__(self) -> None:
+        for array in (self.scores, self.hit, self.starts, self.ids):
+            array.flags.writeable = False
 
     def anomaly_count(self) -> int:
         """Rows whose score exceeds phi, counted on the score array."""
@@ -221,18 +211,23 @@ class Reports(Sequence[AnomalyReport]):
     def __len__(self) -> int:
         return len(self.scores)
 
-    def __getitem__(self, index):
-        return self._reports()[index]
+    def __getitem__(self, index: int) -> AnomalyReport:
+        i = range(len(self.scores))[operator.index(index)]  # a list's negative index and IndexError
+        lo, hi = self.starts[np.searchsorted(self.hit, (i, i + 1))].tolist()  # row i's run, empty if clean
+        score = float(self.scores[i])
+        found = [self.violations[k] for k in self.ids[lo:hi].tolist()]
+        return AnomalyReport(row=i, score=score, is_anomaly=score > self.phi, violations=found)
 
     def __iter__(self) -> Iterator[AnomalyReport]:
-        return iter(self._reports())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Reports):
-            other = other._reports()
-        if isinstance(other, list):
-            return self._reports() == other
-        return NotImplemented
+        violations, phi, ids, starts = self.violations, self.phi, self.ids.tolist(), self.starts.tolist()
+        hit = self.hit.tolist() + [len(self.scores)]  # no row matches the sentinel
+        j = 0
+        for i, s in enumerate(self.scores.tolist()):
+            found = []
+            if i == hit[j]:
+                found = [violations[k] for k in ids[starts[j] : starts[j + 1]]]
+                j += 1
+            yield AnomalyReport(row=i, score=s, is_anomaly=s > phi, violations=found)
 
 
 def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> Reports:
@@ -242,12 +237,14 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> Repor
     score > phi.  Violations list only the rules the row actually
     breaks, in rule-id order, each with the consequent predicates that
     failed.  Rows that break a rule through the same failed consequents
-    share one (frozen) RuleViolation; every clean row gets its own empty
-    list.  The reports are held as arrays and built on first access (see
-    Reports).
+    share one (frozen) RuleViolation.  Each rule's (row, violation id)
+    pairs are gathered, and one stable sort by row turns them into the
+    runs of Reports, in rule-id order since rules come in id order.
     """
     scores = np.zeros(dataset.row_count, dtype=np.float64)
-    violated: dict[int, list[RuleViolation]] = {}
+    violations: list[RuleViolation] = []
+    # each rule's violated rows and their violation ids; the empty first pair lets a clean table concatenate
+    rows_of, ids_of = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for rid, rule, mask, consequent in _violations(ruleset, dataset, config.ignore_rules):
         rows = np.flatnonzero(mask)
         if not len(rows):
@@ -259,17 +256,17 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> Repor
         for j, (_, held) in enumerate(consequent):
             code |= np.logical_not(held[rows]).astype(code.dtype) << j
         _, first, which = np.unique(code, return_index=True, return_inverse=True)
-        shared = [
+        rows_of.append(rows)
+        ids_of.append(which + len(violations))
+        violations.extend(
             RuleViolation(rule_id=rid, rule=rule, failed=tuple(p for p, held in consequent if not held[row]))
             for row in rows[first].tolist()
-        ]
-        for row, k in zip(rows.tolist(), which.tolist()):
-            found = violated.get(row)
-            if found is None:
-                violated[row] = [shared[k]]
-            else:
-                found.append(shared[k])
-    return Reports(scores, config.phi, violated)
+        )
+    rows = np.concatenate(rows_of)
+    order = np.argsort(rows, kind="stable")
+    hit, opens = np.unique(rows[order], return_index=True)  # where each row's run opens
+    starts = np.append(opens, len(rows))
+    return Reports(scores, config.phi, tuple(violations), hit, starts, np.concatenate(ids_of)[order])
 
 
 @dataclass
@@ -352,11 +349,11 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
     and reused on every row that carries it, and blocks of _WRITE_ROWS
     rows are written at a time.
     """
-    scores, phi, violated = reports.scores, reports.phi, reports.violated
+    scores, phi, hit = reports.scores, reports.phi, reports.hit
+    starts, ids = reports.starts.tolist(), reports.ids.tolist()
     schema = ruleset.schema
-    distinct = {id(v): v for found in violated.values() for v in found}
-    fragments = {  # one JSON object per shared RuleViolation, by its id
-        key: json.dumps(
+    fragments = [  # one JSON object per distinct RuleViolation, by violation id
+        json.dumps(
             {
                 "rule_id": v.rule_id,
                 "rule": ruleset.rule_text(v.rule),
@@ -364,19 +361,18 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
                 "failed": [p.render(schema) for p in v.failed],
             }
         )
-        for key, v in distinct.items()
-    }
-    hit = np.array(sorted(violated), dtype=np.int64)
+        for v in reports.violations
+    ]
     # a row that breaks no rule scores exactly 0.0, and phi >= 0 leaves it unflagged
     clean = '"score": 0.0, "is_anomaly": false, "violations": []}\n'
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(scores), _WRITE_ROWS):
             stop = min(start + _WRITE_ROWS, len(scores))
-            rows = hit[np.searchsorted(hit, start) : np.searchsorted(hit, stop)]
+            lo, hi = np.searchsorted(hit, (start, stop)).tolist()
             # a score is a finite float, and json.dumps spells one as its repr
             rest = {
                 i: f'"score": {s!r}, "is_anomaly": {"true" if s > phi else "false"}, '
-                f'"violations": [{", ".join([fragments[id(v)] for v in violated[i]])}]}}\n'
-                for i, s in zip(rows.tolist(), scores[rows].tolist())
+                f'"violations": [{", ".join([fragments[k] for k in ids[starts[j] : starts[j + 1]]])}]}}\n'
+                for j, i, s in zip(range(lo, hi), hit[lo:hi].tolist(), scores[hit[lo:hi]].tolist())
             }
             fh.write("".join([f'{{"row": {i}, {rest.get(i, clean)}' for i in range(start, stop)]))

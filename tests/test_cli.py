@@ -642,9 +642,22 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == 3
         assert "label count 2 does not match row count 60" in captured.err
+        assert captured.err == f"error: {short}: label count 2 does not match row count 60\n"
 
 
 class TestSweep:
+    def test_label_count_mismatch_names_the_file(self, workdir, capsys, tmp_path):
+        short = tmp_path / "short.txt"
+        short.write_text("1\n0\n")
+        code = cli.main(
+            ["sweep", "--train", workdir["train"], "--schema", workdir["schema"],
+             "--data", workdir["test"], "--labels", str(short),
+             "--theta-grid", "0.2", "--gamma-grid", "0.0", "--out", str(tmp_path / "grid.csv")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {short}: label count 2 does not match row count 60\n"
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_grid_csv(self, workdir, capsys, tmp_path):
         out = str(tmp_path / "grid.csv")
         code = cli.main(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invarmine.data import CATEGORICAL, CONTINUOUS, Column, ColumnStats, DataError, Dataset, Schema
-from invarmine.detect import score_dataset, score_point
+from invarmine.detect import DetectionConfig, detect, score_dataset, score_point
 from invarmine.mining import InvariantRule, RuleSet
 from invarmine.predicates import (
     CategoricalDisjunction,
@@ -23,7 +23,7 @@ from invarmine.predicates import (
 )
 
 from helpers import make_dataset, support
-from oracles import holds_by_row, iter_rows, score_by_row, support_by_rows
+from oracles import holds_by_row, iter_rows, reports_by_row_loop, score_by_row, support_by_rows
 
 INF = float("inf")
 
@@ -169,6 +169,16 @@ def test_compiled_point_and_batch_paths_agree_with_the_reference(case):
         expected = score_by_row(ruleset, point, ignore)
         assert score_point(kept, point) == expected
         assert batch[i] == expected
+    config = DetectionConfig(ignore_rules=ignore)
+    reports = detect(ruleset, dataset, config)
+    assert list(reports) == reports_by_row_loop(ruleset, dataset, config)
+    # the CSR layout: ascending rows, each with a non-empty run of ascending rule ids
+    hit, starts, ids = reports.hit.tolist(), reports.starts.tolist(), reports.ids.tolist()
+    assert all(a < b for a, b in zip(hit, hit[1:]))
+    assert len(starts) == len(hit) + 1 and starts[0] == 0 and starts[-1] == len(ids)
+    for lo, hi in zip(starts, starts[1:]):
+        rule_ids = [reports.violations[k].rule_id for k in ids[lo:hi]]
+        assert rule_ids and all(a < b for a, b in zip(rule_ids, rule_ids[1:]))
 
 
 class TestCategoricalGeneration:
