@@ -24,6 +24,7 @@ from .evaluate import (
     sweep,
 )
 from .mining import (
+    MINED,
     MiningConfig,
     check_gamma,
     check_max_set_size,
@@ -158,7 +159,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_ruleset(result.ruleset, args.out)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    mined = sum(1 for r in result.ruleset.rules if r.kind == "mined")
+    mined = sum(1 for r in result.ruleset.rules if r.kind == MINED)
     boundary = len(result.ruleset.rules) - mined
     print(f"rows: {dataset.row_count}")
     print(f"predicates: {len(result.ruleset.catalog)}")

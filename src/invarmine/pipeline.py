@@ -83,10 +83,9 @@ def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
 
     t0 = time.perf_counter()
     cutoffs = extract_cutoffs(trees)
-    catalog = PredicateCatalog.concat(
-        gen_categorical_predicates(dataset, config.theta),
-        gen_continuous_predicates(dataset, cutoffs, config.theta),
-    )
+    categorical = gen_categorical_predicates(dataset, config.theta)
+    continuous = gen_continuous_predicates(dataset, cutoffs, config.theta)
+    catalog = PredicateCatalog(categorical.pairs() + continuous.pairs())
     timings["predicates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

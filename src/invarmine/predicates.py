@@ -42,11 +42,15 @@ from .data import (
 class _Predicate:
     """What the predicate kinds share: their row masks come from the
     compiled form (CompiledPredicates), the one place that defines what
-    each kind accepts."""
+    each kind accepts, and all but the disjunction read one column."""
 
     def mask(self, dataset: Dataset) -> np.ndarray:
         """The rows of dataset on which the predicate holds."""
         return CompiledPredicates((self,)).mask(0, dataset)
+
+    def columns(self) -> tuple[str, ...]:
+        """The columns the predicate reads, in order."""
+        return (self.column,)
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,6 @@ class CategoricalEquals(_Predicate):
 
     column: str
     code: int
-
-    def columns(self) -> tuple[str, ...]:
-        return (self.column,)
 
     def render(self, schema: Schema) -> str:
         return f"{self.column} = {schema.value_of(self.column, self.code)}"
@@ -98,9 +99,6 @@ class Interval(_Predicate):
         if not self.lower < self.upper:
             raise DataError(f"empty interval [{self.lower}, {self.upper})")
 
-    def columns(self) -> tuple[str, ...]:
-        return (self.column,)
-
     def render(self, schema: Schema) -> str:
         if self.lower == float("-inf"):
             return f"{self.column} < {format_number(self.upper)}"
@@ -121,9 +119,6 @@ class Range(_Predicate):
         if not self.low <= self.high:
             raise DataError(f"empty range [{self.low}, {self.high}]")
 
-    def columns(self) -> tuple[str, ...]:
-        return (self.column,)
-
     def render(self, schema: Schema) -> str:
         return f"{format_number(self.low)} <= {self.column} <= {format_number(self.high)}"
 
@@ -138,9 +133,6 @@ class Membership(_Predicate):
     def __post_init__(self) -> None:
         if not self.codes:
             raise DataError("membership set is empty")
-
-    def columns(self) -> tuple[str, ...]:
-        return (self.column,)
 
     def render(self, schema: Schema) -> str:
         values = sorted(schema.value_of(self.column, c) for c in self.codes)
@@ -330,13 +322,6 @@ class PredicateCatalog:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PredicateCatalog) and self.pairs() == other.pairs()
-
-    @classmethod
-    def concat(cls, *catalogs: "PredicateCatalog") -> "PredicateCatalog":
-        pairs: list[tuple[Predicate, float]] = []
-        for c in catalogs:
-            pairs.extend(c.pairs())
-        return cls(pairs)
 
 
 def _fraction(count: int, n: int) -> float:

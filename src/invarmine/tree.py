@@ -1,20 +1,23 @@
-"""Greedy binary decision trees used to propose continuous cut-offs.
+"""Greedy binary decision trees, used only to propose continuous cut-offs.
 
-Trees are grown without pruning or depth caps; the only stop criteria
-are a leaf-size floor and zero split gain.  Split quality is
-information gain (base-2 entropy) for classification targets and
-variance reduction (population variance, sample-weighted children) for
-regression targets.  Candidate thresholds are midpoints between
-consecutive distinct feature values within the node, a row goes right
-when its value is strictly greater than the threshold, and both
-children must keep strictly more than min_leaf rows.  Ties are broken
-toward the lowest feature index, then the smallest threshold, so
-fitting is deterministic.
+Training reads nothing of a tree but its splits (extract_cutoffs), so a
+node keeps its size and split and there are no leaf values.  Trees grow
+without pruning or depth caps; the only stop criteria are a leaf-size
+floor and zero split gain.  Split quality is information gain (base-2
+entropy) for classification targets and variance reduction (population
+variance, sample-weighted children) for regression targets.  A
+threshold parts consecutive distinct values lo < hi within the node: it
+is their midpoint when that lies strictly between them, else hi (the
+midpoint of neighbouring floats can round onto hi, and near the float
+maximum it overflows).  A row goes right when its value is >= the
+threshold, and both children must keep strictly more than min_leaf
+rows.  Ties are broken toward the lowest feature index, then the
+smallest threshold, so fitting is deterministic.
 
 Each continuous column is sorted once per training run with a stable
 argsort, and every tree of the run shares those row orders read-only.
 A node carries one sorted row order per feature; a split partitions
-each order stably with the chosen column's "> threshold" mask instead
+each order stably with the chosen column's ">= threshold" mask instead
 of sorting again.  Stable sorting and stable partitioning keep tied
 values in row order, so inside every node rows stay ordered by (value,
 row index), exactly as a stable sort of the node's rows would order
@@ -37,11 +40,11 @@ row of the matrix (_class_sum), so every entropy rounds the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
-from .data import CATEGORICAL, CONTINUOUS, Dataset, format_number
+from .data import CATEGORICAL, CONTINUOUS, Dataset
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -53,7 +56,7 @@ class TreeError(ValueError):
 
 @dataclass(frozen=True)
 class SplitRule:
-    """Send a row right iff row[column] > threshold."""
+    """Send a row right iff row[column] >= threshold."""
 
     column: str
     threshold: float
@@ -62,14 +65,9 @@ class SplitRule:
 @dataclass
 class TreeNode:
     n_samples: int
-    prediction: float
     split: SplitRule | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.split is None
 
 
 @dataclass
@@ -88,23 +86,6 @@ class DecisionTree:
                 yield node
                 stack.append(node.right)
                 stack.append(node.left)
-
-    def dump(self) -> str:
-        lines: list[str] = [f"{self.kind} tree for {self.target} (min_leaf={self.min_leaf})"]
-
-        def walk(node: TreeNode, depth: int) -> None:
-            pad = "  " * depth
-            if node.is_leaf:
-                lines.append(f"{pad}leaf value={format_number(node.prediction)} [n={node.n_samples}]")
-            else:
-                lines.append(
-                    f"{pad}{node.split.column} > {format_number(node.split.threshold)} [n={node.n_samples}]"
-                )
-                walk(node.left, depth + 1)
-                walk(node.right, depth + 1)
-
-        walk(self.root, 0)
-        return "\n".join(lines)
 
 
 def _add(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -157,8 +138,6 @@ def _valid_boundaries(vs: np.ndarray, min_leaf: int) -> np.ndarray:
     """Left sizes at distinct-value boundaries of sorted values vs that
     leave both sides strictly more than min_leaf rows."""
     lo, hi = min_leaf + 1, len(vs) - min_leaf
-    if hi <= lo:
-        return np.empty(0, dtype=np.intp)
     return np.flatnonzero(vs[lo:hi] > vs[lo - 1 : hi - 1]) + lo
 
 
@@ -231,22 +210,18 @@ class _Grower:
     """Grows one tree.  A node gets its rows in row order and, for each
     feature position f, in the sorted order orders[f]."""
 
-    def __init__(self, dataset: Dataset, target: str, features: list[str], kind: str, min_leaf: int):
+    def __init__(self, dataset: Dataset, target: str, features: list[str], gains, min_leaf: int):
         self.y = dataset.column(target)
         self.columns = [dataset.column(f) for f in features]
         self.features = features
-        self.kind = kind
-        self.n_classes = int(self.y.max()) + 1 if kind == CLASSIFICATION else 0
+        self.gains = gains  # _classification_gains or _regression_gains, as gains(y, yn)
         self.min_leaf = min_leaf
         self.min_split = 2 * (min_leaf + 1)  # fewer rows cannot give two children above min_leaf
         self.go_right = np.zeros(dataset.row_count, dtype=bool)  # per-tree buffer, indexed by row
 
     def best_split(self, yn: np.ndarray, orders: list[np.ndarray]) -> tuple[float, int, float] | None:
         """Best (gain, feature position, threshold) at the node, or None."""
-        if self.kind == CLASSIFICATION:
-            gains_of = _classification_gains(self.y, yn, self.n_classes)
-        else:
-            gains_of = _regression_gains(self.y, yn)
+        gains_of = self.gains(self.y, yn)
         best: tuple[float, int, float] | None = None
         for f, order in enumerate(orders):
             vs = self.columns[f][order]
@@ -258,27 +233,25 @@ class _Grower:
             gain = float(gains[pos])
             if best is None or gain > best[0]:
                 b = int(valid[pos])
-                best = (gain, f, (vs[b - 1] + vs[b]) / 2.0)
+                lo, hi = float(vs[b - 1]), float(vs[b])
+                mid = (lo + hi) / 2.0  # rounds onto hi for neighbouring floats, overflows near the top
+                best = (gain, f, mid if lo < mid < hi else hi)
         return best
 
     def grow(self, rows: np.ndarray, orders: list[np.ndarray]) -> TreeNode:
         """Grow the subtree over rows; clears orders once they are partitioned."""
         n = len(rows)
         yn = self.y[rows]
-        if self.kind == CLASSIFICATION:
-            prediction = float(np.bincount(yn, minlength=self.n_classes).argmax())
-        else:
-            prediction = float(yn.mean())
-        node = TreeNode(n_samples=n, prediction=prediction)
+        node = TreeNode(n_samples=n)
         if bool(np.all(yn == yn[0])) or n < self.min_split:
             return node
         found = self.best_split(yn, orders)
         if found is None or not found[0] > 0.0:
             return node
         _, f, tau = found
-        node.split = SplitRule(column=self.features[f], threshold=float(tau))
+        node.split = SplitRule(column=self.features[f], threshold=tau)
         go_right = self.go_right
-        right = self.columns[f][rows] > tau
+        right = self.columns[f][rows] >= tau
         go_right[rows] = right
         left_rows, right_rows = np.compress(~right, rows), np.compress(right, rows)
         # a child too small to split never reads its orders
@@ -300,16 +273,15 @@ class _Grower:
 
 
 def _fit(
-    dataset: Dataset,
-    target: str,
-    features: list[str],
-    kind: str,
-    min_leaf: int,
-    sorted_rows: RowOrders | None,
+    dataset: Dataset, target: str, features: list[str], kind: str, min_leaf: int, sorted_rows: RowOrders | None
 ) -> DecisionTree:
     if sorted_rows is None:
         sorted_rows = sort_continuous_columns(dataset)
-    grower = _Grower(dataset, target, features, kind, min_leaf)
+    if kind == CLASSIFICATION:
+        gains = partial(_classification_gains, n_classes=int(dataset.column(target).max()) + 1)
+    else:
+        gains = _regression_gains
+    grower = _Grower(dataset, target, features, gains, min_leaf)
     rows = np.arange(dataset.row_count, dtype=np.int64)
     root = grower.grow(rows, [sorted_rows[f] for f in features])
     return DecisionTree(kind=kind, target=target, features=list(features), min_leaf=min_leaf, root=root)

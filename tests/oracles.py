@@ -271,10 +271,19 @@ def _impurity(y, kind):
     return float(np.mean((y - y.mean()) ** 2))
 
 
+def threshold_between(lo, hi):
+    """The threshold that parts values lo < hi: their midpoint when it lies
+    strictly between them, else hi."""
+    lo, hi = float(lo), float(hi)
+    mid = (lo + hi) / 2.0
+    return mid if lo < mid < hi else hi
+
+
 def split_gain_direct(X, y, feature, tau, kind):
-    """Impurity reduction of the single split (feature, tau), from scratch."""
+    """Impurity reduction of the single split (feature, tau), from scratch;
+    rows at or above tau go right."""
     n = len(y)
-    right = X[:, feature] > tau
+    right = X[:, feature] >= tau
     left = ~right
     if not left.any() or not right.any():
         return 0.0
@@ -285,21 +294,21 @@ def split_gain_direct(X, y, feature, tau, kind):
 
 
 def best_split_by_scan(X, y, min_leaf, kind):
-    """Exhaustive scan over every midpoint candidate; None when no candidate
+    """Exhaustive scan over every threshold candidate; None when no candidate
     satisfies the leaf floor.  Ties keep the first (lowest feature, smallest
     threshold) candidate."""
     best = None
     for f in range(X.shape[1]):
         values = np.unique(X[:, f])
         for lo, hi in zip(values, values[1:]):
-            tau = (lo + hi) / 2.0
-            nl = int((X[:, f] <= tau).sum())
+            tau = threshold_between(lo, hi)
+            nl = int((X[:, f] < tau).sum())
             nr = len(y) - nl
             if not (nl > min_leaf and nr > min_leaf):
                 continue
             gain = split_gain_direct(X, y, f, tau, kind)
             if best is None or gain > best[0] + 1e-12:
-                best = (gain, f, float(tau))
+                best = (gain, f, tau)
     return best
 
 
@@ -338,7 +347,7 @@ def _classification_split_by_node_sort(X, y, n_classes, min_leaf):
         pos = int(np.argmax(gains))
         gain = float(gains[pos])
         b = int(valid[pos])
-        tau = (vs[b - 1] + vs[b]) / 2.0
+        tau = threshold_between(vs[b - 1], vs[b])
         if best is None or gain > best[0]:
             best = (gain, f, tau)
     return best
@@ -372,7 +381,7 @@ def _regression_split_by_node_sort(X, y, min_leaf):
         pos = int(np.argmax(gains))
         gain = float(gains[pos])
         b = int(valid[pos])
-        tau = (vs[b - 1] + vs[b]) / 2.0
+        tau = threshold_between(vs[b - 1], vs[b])
         if best is None or gain > best[0]:
             best = (gain, f, tau)
     return best
@@ -381,7 +390,7 @@ def _regression_split_by_node_sort(X, y, min_leaf):
 def tree_by_node_sort(dataset, target, features, kind, min_leaf):
     """A tree grower that re-sorts every feature at every node.
 
-    The package's presorted trees must dump identically to it.  Rows
+    The package's presorted trees must equal it node for node.  Rows
     inside a node stay in row order, so a stable per-node sort orders
     them by (value, row index).
     """
@@ -393,11 +402,7 @@ def tree_by_node_sort(dataset, target, features, kind, min_leaf):
 
     def grow(idx):
         yn = y[idx]
-        if kind == "classification":
-            prediction = float(np.bincount(yn, minlength=n_classes).argmax())
-        else:
-            prediction = float(yn.mean())
-        node = TreeNode(n_samples=len(idx), prediction=prediction)
+        node = TreeNode(n_samples=len(idx))
         if bool(np.all(yn == yn[0])) or len(idx) < 2 * (min_leaf + 1):
             return node
         Xn = X[idx]
@@ -408,8 +413,8 @@ def tree_by_node_sort(dataset, target, features, kind, min_leaf):
         if found is None or not found[0] > 0.0:
             return node
         _, f, tau = found
-        right = Xn[:, f] > tau
-        node.split = SplitRule(column=features[f], threshold=float(tau))
+        right = Xn[:, f] >= tau
+        node.split = SplitRule(column=features[f], threshold=tau)
         node.left = grow(idx[~right])
         node.right = grow(idx[right])
         return node

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,8 +19,10 @@ from invarmine.data import DataError, load_csv, save_schema, write_csv
 from invarmine.detect import DetectionConfig, detect, explain
 from invarmine.evaluate import LabeledScores, standardized_pauc
 from invarmine.mining import MiningConfig, load_ruleset
+from invarmine.predicates import Interval
 from invarmine.synth import planted_rule_data
 
+from helpers import make_schema, write_text
 from oracles import reports_by_row_loop, write_reports_by_json_dumps
 
 # the package's `detect` name is the function, so reach the module by import
@@ -142,6 +145,43 @@ class TestTrain:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err.startswith(f"error: {bad}: row 150: field larger than field limit")
+
+    def test_neighbouring_float_values_get_a_cutoff_between_them(self, capsys, tmp_path):
+        """The midpoint of these two values rounds onto the larger one, so a
+        split at it would send every row right; the larger value parts them."""
+        low, high = 1.0000000000000002, 1.0000000000000004
+        rows = [f"{x!r},{u}" for x, u in [(low, "p"), (high, "q")] * 10]
+        data = write_text(tmp_path / "near.csv", "\n".join(["X,U", *rows]) + "\n")
+        schema = str(tmp_path / "schema.json")
+        save_schema(make_schema(cont=("X",), cat=("U",)), schema)
+        out = str(tmp_path / "rules.json")
+        code = cli.main(
+            ["train", "--data", data, "--schema", schema, "--theta", "0.2", "--gamma", "0", "--out", out]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: column 'X': no other continuous column to regress on; tree skipped\n"
+        )
+        ruleset = load_ruleset(out)
+        assert Interval("X", -math.inf, high) in ruleset.catalog.predicates
+        assert Interval("X", high, math.inf) in ruleset.catalog.predicates
+
+    def test_categorical_only_schema_warns_that_trees_are_skipped(self, capsys, tmp_path):
+        rows = [f"{a},{b}" for a, b in [("a", "x"), ("b", "y")] * 10]
+        data = write_text(tmp_path / "cat.csv", "\n".join(["U1,U2", *rows]) + "\n")
+        schema = str(tmp_path / "schema.json")
+        save_schema(make_schema(cat=("U1", "U2")), schema)
+        code = cli.main(
+            ["train", "--data", data, "--schema", schema, "--theta", "0.2", "--gamma", "0",
+             "--out", str(tmp_path / "rules.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "".join(
+            f"warning: column {name!r}: no continuous columns to split on; tree skipped\n"
+            for name in ("U1", "U2")
+        )
+        assert "rules: " in captured.out
 
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -559,6 +599,12 @@ class TestExplain:
         assert code == 3
         assert "violates no rules" in captured.err
 
+    def test_negative_row_is_a_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explain", "--rules", workdir["rules"], "--data", workdir["test"], "--row", "-1"])
+        assert exc.value.code == 2
+        assert "error: argument --row: expected a non-negative integer, got -1\n" in capsys.readouterr().err
+
     def test_row_out_of_range(self, workdir, capsys):
         code = cli.main(
             ["explain", "--rules", workdir["rules"], "--data", workdir["test"], "--row", "999"]
@@ -672,6 +718,31 @@ class TestSweep:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "theta,gamma,rule_count,auc,pauc,f1,precision,recall"
         assert len(lines) == 3
+
+    def test_failed_cell_is_a_warning(self, workdir, capsys, tmp_path):
+        zeros = write_text(tmp_path / "zeros.txt", "0\n" * workdir["test_rows"])
+        out = str(tmp_path / "grid.csv")
+        code = cli.main(
+            ["sweep", "--train", workdir["train"], "--schema", workdir["schema"],
+             "--data", workdir["test"], "--labels", zeros,
+             "--theta-grid", "0.2", "--gamma-grid", "0.0", "--out", out]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == (
+            "warning: cell theta=0.2 gamma=0 failed: ROC needs at least one anomaly and one normal label\n"
+        )
+        assert "swept 1 cells (1 failed)" in captured.out
+
+    def test_empty_grid_is_a_usage_error(self, workdir, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["sweep", "--train", workdir["train"], "--schema", workdir["schema"],
+                 "--data", workdir["test"], "--labels", workdir["labels"],
+                 "--theta-grid", ",", "--gamma-grid", "0.0", "--out", str(tmp_path / "grid.csv")]
+            )
+        assert exc.value.code == 2
+        assert "error: argument --theta-grid: empty theta grid\n" in capsys.readouterr().err
 
     def test_out_of_range_grid_value_is_a_usage_error(self, workdir, tmp_path):
         with pytest.raises(SystemExit) as exc:

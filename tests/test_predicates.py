@@ -241,6 +241,19 @@ class TestCategoricalGeneration:
         ]
         assert catalog.supports == [0.74, 0.26]
 
+    def test_schema_value_without_training_rows_is_skipped(self):
+        # the schema lists c, but no row of the table holds it: c is neither
+        # an equality predicate nor a branch of the rare pool
+        values = ["a"] * 80 + ["b"] * 10 + ["c"] * 5 + ["d"] * 10
+        full = make_dataset(cat={"U1": values})
+        dataset = full.take([i for i, v in enumerate(values) if v != "c"])
+        assert dataset.schema.value_of("U1", 2) == "c"
+        catalog = gen_categorical_predicates(dataset, theta=0.15)
+        assert catalog.pairs() == [
+            (CategoricalEquals("U1", 0), 0.8),
+            (CategoricalDisjunction((("U1", 1), ("U1", 3))), 0.2),
+        ]
+
     def test_pools_can_span_columns_with_mask_based_support(self):
         # U1=b and U2=y are rare and overlap on one row; the pool's support
         # must count that row once (0.3, not 0.4)

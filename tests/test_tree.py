@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from invarmine.tree import (
     CLASSIFICATION,
     REGRESSION,
+    SplitRule,
     TreeError,
     extract_cutoffs,
     fit_classification_tree,
@@ -25,7 +26,7 @@ def leaves(tree):
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if node.split is None:
             out.append(node)
         else:
             stack.append(node.left)
@@ -37,7 +38,7 @@ class TestClassification:
     def test_constant_target_is_a_leaf(self):
         dataset = make_dataset(cont={"X1": [1.0, 2.0, 3.0, 4.0]}, cat={"U1": ["a"] * 4})
         tree = fit_classification_tree(dataset, "U1", min_leaf=1)
-        assert tree.root.is_leaf
+        assert tree.root.split is None
         assert extract_cutoffs([tree]) == {}
 
     def test_separable_hundred_rows_one_split(self):
@@ -49,14 +50,14 @@ class TestClassification:
         assert len(internal) == 1
         assert internal[0].split.column == "X1"
         assert internal[0].split.threshold == 5.0  # midpoint of the straddling values
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        assert tree.root.left.split is None and tree.root.right.split is None
 
     def test_min_leaf_equal_to_row_count_keeps_the_root(self):
         x = [4.0] * 50 + [6.0] * 50
         u = ["0"] * 50 + ["1"] * 50
         dataset = make_dataset(cont={"X1": x}, cat={"U1": u})
         tree = fit_classification_tree(dataset, "U1", min_leaf=100)
-        assert tree.root.is_leaf
+        assert tree.root.split is None
 
     def test_no_continuous_columns_is_an_error(self):
         dataset = make_dataset(cat={"U1": ["a", "b", "a", "b"]})
@@ -68,10 +69,27 @@ class TestClassification:
         with pytest.raises(TreeError, match="not categorical"):
             fit_classification_tree(dataset, "X1", min_leaf=1)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0000000000000002, 1.0000000000000004), (1.7e308, float(np.nextafter(1.7e308, np.inf)))],
+        ids=["midpoint-rounds-up", "midpoint-overflows"],
+    )
+    def test_neighbouring_floats_split_at_the_upper_value(self, low, high):
+        """The midpoint of neighbouring floats is no threshold between them
+        (it rounds onto high, or overflows to inf), so high parts them."""
+        assert not low < (low + high) / 2.0 < high
+        x = [low, high] * 10
+        dataset = make_dataset(cont={"X1": x}, cat={"U1": ["p", "q"] * 10})
+        tree = fit_classification_tree(dataset, "U1", min_leaf=4)
+        assert tree.root.split == SplitRule("X1", high)
+        assert tree.root.left.n_samples == tree.root.right.n_samples == 10
+        assert tree.root.left.split is None and tree.root.right.split is None
+        assert tree == tree_by_node_sort(dataset, "U1", ["X1"], CLASSIFICATION, 4)
+
     def test_constant_features_cannot_split(self):
         dataset = make_dataset(cont={"X1": [3.0] * 8}, cat={"U1": ["a", "b"] * 4})
         tree = fit_classification_tree(dataset, "U1", min_leaf=1)
-        assert tree.root.is_leaf
+        assert tree.root.split is None
 
 
 class TestRegression:
@@ -82,14 +100,13 @@ class TestRegression:
         tree = fit_regression_tree(dataset, "X2", min_leaf=5)
         assert tree.root.split.column == "X1"
         assert tree.root.split.threshold == 0.0
-        assert tree.root.left.prediction == 0.0
-        assert tree.root.right.prediction == 10.0
-        assert tree.root.left.is_leaf and tree.root.right.is_leaf
+        assert tree.root.left.n_samples == tree.root.right.n_samples == 50
+        assert tree.root.left.split is None and tree.root.right.split is None
 
     def test_constant_target_is_a_leaf(self):
         dataset = make_dataset(cont={"X1": [1.0, 2.0, 3.0, 4.0], "X2": [7.0] * 4})
         tree = fit_regression_tree(dataset, "X2", min_leaf=1)
-        assert tree.root.is_leaf
+        assert tree.root.split is None
 
     def test_single_continuous_column_returns_none(self):
         dataset = make_dataset(cont={"X1": [1.0, 2.0]})
@@ -157,7 +174,7 @@ def test_root_split_matches_exhaustive_scan(kind):
         if kind == REGRESSION:
             y = y.astype(float)
         best = best_split_by_scan(X, y, min_leaf, kind)
-        if tree.root.is_leaf:
+        if tree.root.split is None:
             assert best is None or best[0] <= 1e-9
             continue
         assert best is not None
@@ -178,7 +195,7 @@ def test_every_leaf_respects_the_floor_and_counts_add_up(kind):
         else:
             tree = fit_regression_tree(dataset, target, min_leaf)
         for leaf in leaves(tree):
-            assert leaf.n_samples > min_leaf or tree.root.is_leaf
+            assert leaf.n_samples > min_leaf or tree.root.split is None
         for node in tree.internal_nodes():
             assert node.n_samples == node.left.n_samples + node.right.n_samples
             assert node.left.n_samples > min_leaf
@@ -190,17 +207,7 @@ def test_fitting_is_deterministic():
     dataset, target, _, min_leaf = random_case(rng, CLASSIFICATION)
     a = fit_classification_tree(dataset, target, min_leaf)
     b = fit_classification_tree(dataset, target, min_leaf)
-    assert a.dump() == b.dump()
-
-
-def test_dump_mentions_split_and_counts():
-    x = [4.0] * 20 + [6.0] * 20
-    u = ["0"] * 20 + ["1"] * 20
-    dataset = make_dataset(cont={"X1": x}, cat={"U1": u})
-    tree = fit_classification_tree(dataset, "U1", min_leaf=2)
-    text = tree.dump()
-    assert "X1 > 5" in text
-    assert "[n=40]" in text
+    assert a == b
 
 
 def fit(dataset, target, kind, min_leaf, sorted_rows=None):
@@ -257,8 +264,8 @@ class TestMatchesNodeSortReference:
             n = dataset.row_count
             for min_leaf in (0, 1, 3, n // 4, n // 2):
                 tree = fit(dataset, target, kind, min_leaf)
-                assert tree.dump() == tree_by_node_sort(dataset, target, features, kind, min_leaf).dump()
-            assert tree.root.is_leaf  # min_leaf n // 2 blocks every split
+                assert tree == tree_by_node_sort(dataset, target, features, kind, min_leaf)
+            assert tree.root.split is None  # min_leaf n // 2 blocks every split
 
     def test_generated_tables_with_shared_sorts(self):
         tables = [random_mixed_dataset(300, 5, 3, seed=0), planted_rule_data(300, seed=1)[0]]
@@ -273,7 +280,7 @@ class TestMatchesNodeSortReference:
             for min_leaf in (3, 15):
                 for target, kind, features in jobs:
                     tree = fit(dataset, target, kind, min_leaf, sorted_rows)
-                    assert tree.dump() == tree_by_node_sort(dataset, target, features, kind, min_leaf).dump()
+                    assert tree == tree_by_node_sort(dataset, target, features, kind, min_leaf)
             for name, order in sorted_rows.items():  # sharing leaves the sorts intact
                 assert not order.flags.writeable
                 assert np.array_equal(order, np.argsort(dataset.column(name), kind="stable"))
@@ -282,7 +289,7 @@ class TestMatchesNodeSortReference:
     def test_many_classes(self, case):
         dataset, features, min_leaf = case
         tree = fit_classification_tree(dataset, "U1", min_leaf)
-        assert tree.dump() == tree_by_node_sort(dataset, "U1", features, CLASSIFICATION, min_leaf).dump()
+        assert tree == tree_by_node_sort(dataset, "U1", features, CLASSIFICATION, min_leaf)
 
     @pytest.mark.parametrize("n_classes", [4, 5, 7, 9])
     def test_children_without_the_lowest_or_highest_code(self, n_classes):
@@ -298,9 +305,9 @@ class TestMatchesNodeSortReference:
             cat={"U1": [f"c{k}" for k in codes.tolist()]},
         )
         tree = fit_classification_tree(dataset, "U1", min_leaf=2)
-        assert tree.dump() == tree_by_node_sort(dataset, "U1", ["X1", "X2"], CLASSIFICATION, 2).dump()
+        assert tree == tree_by_node_sort(dataset, "U1", ["X1", "X2"], CLASSIFICATION, 2)
         assert tree.root.split.column == "X1"
         right = x1 > tree.root.split.threshold
         y = dataset.column("U1")
         assert n_classes - 1 not in y[~right] and 0 not in y[right]
-        assert not tree.root.left.is_leaf and not tree.root.right.is_leaf
+        assert tree.root.left.split is not None and tree.root.right.split is not None
