@@ -685,12 +685,15 @@ def compute_column_stats(dataset: Dataset) -> ColumnStats:
     for col in dataset.schema.columns:
         arr = dataset.column(col.name)
         if col.kind == CONTINUOUS:
-            continuous[col.name] = ContinuousStats(
-                mean=float(arr.mean()),
-                std=float(arr.std()),
-                minimum=float(arr.min()),
-                maximum=float(arr.max()),
-            )
+            minimum, maximum = float(arr.min()), float(arr.max())
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std = float(arr.mean()), float(arr.std())
+            if not math.isfinite(mean + std):
+                # a sum or a square overflowed: divided by max |x|, the values and their mean and std lie in [-1, 1]
+                scale = max(-minimum, maximum)
+                scaled = arr / scale
+                mean, std = float(scaled.mean()) * scale, float(scaled.std()) * scale
+            continuous[col.name] = ContinuousStats(mean=mean, std=std, minimum=minimum, maximum=maximum)
         else:
             codes = sorted(int(c) for c in np.unique(arr))
             categorical[col.name] = [dataset.schema.value_of(col.name, c) for c in codes]

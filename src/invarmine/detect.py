@@ -250,13 +250,17 @@ def detect(ruleset: RuleSet, dataset: Dataset, config: DetectionConfig) -> Repor
         if not len(rows):
             continue
         np.add(scores, rule.support, out=scores, where=mask)
+        rows_of.append(rows)
+        if len(consequent) == 1:  # its one consequent failed on every violated row
+            ids_of.append(np.full(len(rows), len(violations), dtype=np.intp))
+            violations.append(RuleViolation(rule_id=rid, rule=rule, failed=(consequent[0][0],)))
+            continue
         # one integer per violated row, bit j set when consequent j failed
         # there; past 63 consequents the bits need python ints
         code = np.zeros(len(rows), dtype=object if len(consequent) > 63 else np.int64)
         for j, (_, held) in enumerate(consequent):
             code |= np.logical_not(held[rows]).astype(code.dtype) << j
         _, first, which = np.unique(code, return_index=True, return_inverse=True)
-        rows_of.append(rows)
         ids_of.append(which + len(violations))
         violations.extend(
             RuleViolation(rule_id=rid, rule=rule, failed=tuple(p for p, held in consequent if not held[row]))
@@ -335,8 +339,25 @@ def explain(report: AnomalyReport, ruleset: RuleSet) -> Explanation:
     return Explanation(row=report.row, score=report.score, entries=entries)
 
 
-# rows rendered per write: the lines in memory at once stay bounded
+# rows rendered per write: the bytes in memory at once stay bounded
 _WRITE_ROWS = 1 << 14
+
+# a row that breaks no rule scores exactly 0.0, and phi >= 0 leaves it unflagged
+_CLEAN_HEAD = b'{"row": '
+_CLEAN_TAIL = b', "score": 0.0, "is_anomaly": false, "violations": []}\n'
+
+
+def _clean_lines(start: int, stop: int, digits: int) -> np.ndarray:
+    """The clean lines of rows start..stop-1, all with this many digits,
+    as a rows x line-width uint8 matrix: one template line tiled, then
+    the row number written into its digit columns, last digit first."""
+    template = np.frombuffer(_CLEAN_HEAD + b"0" * digits + _CLEAN_TAIL, dtype=np.uint8)
+    lines = np.tile(template, (stop - start, 1))
+    rows = np.arange(start, stop)
+    for column in range(len(_CLEAN_HEAD) + digits - 1, len(_CLEAN_HEAD) - 1, -1):
+        lines[:, column] += (rows % 10).astype(np.uint8)
+        rows //= 10
+    return lines
 
 
 def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
@@ -345,9 +366,12 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
     Takes what detect returned.  Each line is what json.dumps writes for
     {"row", "score", "is_anomaly", "violations": [{"rule_id", "rule",
     "support", "failed"}, ...]} with its default separators.  The lines
-    come from the reports' arrays: a violation's object is rendered once
-    and reused on every row that carries it, and blocks of _WRITE_ROWS
-    rows are written at a time.
+    come from the reports' arrays, _WRITE_ROWS rows per write.  Clean
+    lines differ only in their row number, so each run of rows with as
+    many digits is one template tiled and digit-filled (_clean_lines).
+    A violated row's line is its row number and a tail rendered once per
+    distinct (score, violation ids) in the block; it takes the place of
+    the row's clean line, which is skipped by its offset.
     """
     scores, phi, hit = reports.scores, reports.phi, reports.hit
     starts, ids = reports.starts.tolist(), reports.ids.tolist()
@@ -363,16 +387,34 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
         )
         for v in reports.violations
     ]
-    # a row that breaks no rule scores exactly 0.0, and phi >= 0 leaves it unflagged
-    clean = '"score": 0.0, "is_anomaly": false, "violations": []}\n'
-    with open(path, "w", encoding="utf-8") as fh:
+    tails: dict[tuple[float, tuple[int, ...]], bytes] = {}  # emptied per block to bound it
+
+    def tail(score: float, run: tuple[int, ...]) -> bytes:
+        # a score is a finite float, and json.dumps spells one as its repr; json.dumps escapes to ASCII
+        rendered = tails[score, run] = (
+            f'"score": {score!r}, "is_anomaly": {"true" if score > phi else "false"}, '
+            f'"violations": [{", ".join([fragments[k] for k in run])}]}}\n'
+        ).encode()
+        return rendered
+
+    with open(path, "wb") as fh:
         for start in range(0, len(scores), _WRITE_ROWS):
             stop = min(start + _WRITE_ROWS, len(scores))
-            lo, hi = np.searchsorted(hit, (start, stop)).tolist()
-            # a score is a finite float, and json.dumps spells one as its repr
-            rest = {
-                i: f'"score": {s!r}, "is_anomaly": {"true" if s > phi else "false"}, '
-                f'"violations": [{", ".join([fragments[k] for k in ids[starts[j] : starts[j + 1]]])}]}}\n'
-                for j, i, s in zip(range(lo, hi), hit[lo:hi].tolist(), scores[hit[lo:hi]].tolist())
-            }
-            fh.write("".join([f'{{"row": {i}, {rest.get(i, clean)}' for i in range(start, stop)]))
+            pieces: list[bytes | memoryview] = []
+            tails.clear()
+            first = start
+            while first < stop:  # one run of rows with as many digits: 10**(d-1)..10**d - 1, and row 0
+                digits = len(str(first))
+                last = min(stop, 10**digits)
+                width = len(_CLEAN_HEAD) + digits + len(_CLEAN_TAIL)
+                lines = memoryview(_clean_lines(first, last, digits)).cast("B")
+                lo, hi = np.searchsorted(hit, (first, last)).tolist()
+                at = 0
+                for j, i, score in zip(range(lo, hi), hit[lo:hi].tolist(), scores[hit[lo:hi]].tolist()):
+                    run = tuple(ids[starts[j] : starts[j + 1]])
+                    offset = (i - first) * width
+                    pieces += (lines[at:offset], b'{"row": %d, ' % i, tails.get((score, run)) or tail(score, run))
+                    at = offset + width
+                pieces.append(lines[at:])
+                first = last
+            fh.write(b"".join(pieces))

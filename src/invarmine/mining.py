@@ -40,6 +40,7 @@ envelopes with empty antecedent and support 1.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -330,16 +331,18 @@ def boundary_rules(stats: ColumnStats, schema: Schema) -> list[InvariantRule]:
     """One always-true envelope rule per column, in schema order.
 
     Continuous columns get a closed range spanning the observed extrema
-    widened to at least mean +/- 3 standard deviations; categorical
-    columns get membership in the seen values.  Both hold on every
-    training row, hence support 1 and empty antecedent.
+    widened to at least mean +/- 3 standard deviations, but no further
+    than the largest finite floats; categorical columns get membership
+    in the seen values.  Both hold on every training row, hence support
+    1 and empty antecedent.
     """
     rules: list[InvariantRule] = []
     for col in schema.columns:
         if col.kind == CONTINUOUS:
             s = stats.continuous[col.name]
-            low = min(s.mean - 3.0 * s.std, s.minimum)
-            high = max(s.mean + 3.0 * s.std, s.maximum)
+            # near the float maximum, mean +/- 3 std overflows to inf
+            low = max(min(s.mean - 3.0 * s.std, s.minimum), -sys.float_info.max)
+            high = min(max(s.mean + 3.0 * s.std, s.maximum), sys.float_info.max)
             pred: Predicate = Range(col.name, low, high)
         else:
             codes = []

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,26 @@ class TestTrain:
         ruleset = load_ruleset(out)
         assert Interval("X", -math.inf, high) in ruleset.catalog.predicates
         assert Interval("X", high, math.inf) in ruleset.catalog.predicates
+
+    @pytest.mark.parametrize(
+        "low, high", [(1.7e308, math.nextafter(1.7e308, math.inf)), (-1.7e308, 1.7e308)], ids=["top", "both-ends"]
+    )
+    def test_values_near_the_float_maximum_train_without_overflow(self, capsys, tmp_path, low, high):
+        rows = [f"{x!r},{u}" for x, u in [(low, "p"), (high, "q")] * 10]
+        data = write_text(tmp_path / "huge.csv", "\n".join(["X,U", *rows]) + "\n")
+        schema = str(tmp_path / "schema.json")
+        save_schema(make_schema(cont=("X",), cat=("U",)), schema)
+        out = str(tmp_path / "rules.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(
+                ["train", "--data", data, "--schema", schema, "--theta", "0.2", "--gamma", "0", "--out", out]
+            )
+            assert code == 0
+            # boundary rules come in schema order, X's first
+            envelope = next(r.consequent[0] for r in load_ruleset(out).rules if r.kind == mining.BOUNDARY)
+            assert -sys.float_info.max <= envelope.low <= low and high <= envelope.high <= sys.float_info.max
+            assert cli.main(["score", "--rules", out, "--data", data, "--out", str(tmp_path / "r.jsonl")]) == 0
 
     def test_categorical_only_schema_warns_that_trees_are_skipped(self, capsys, tmp_path):
         rows = [f"{a},{b}" for a, b in [("a", "x"), ("b", "y")] * 10]

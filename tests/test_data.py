@@ -756,6 +756,20 @@ class TestColumnStats:
         s = stats.continuous["X1"]
         assert (s.mean, s.std, s.minimum, s.maximum) == (5.0, 5.0, 0.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "low, high, mean, std",
+        [
+            (1.7e308, 1.7000000000000001e308, 1.7000000000000001e308, 1.334578589881209e292),
+            (-1.7e308, 1.7e308, 0.0, 1.7e308),
+        ],
+        ids=["sum-overflows", "squares-overflow"],
+    )
+    def test_columns_near_the_float_maximum_stay_finite(self, low, high, mean, std):
+        with np.errstate(all="raise"):
+            stats = compute_column_stats(make_dataset(cont={"X1": [low, high] * 10}))
+        s = stats.continuous["X1"]
+        assert (s.mean, s.std, s.minimum, s.maximum) == (mean, std, low, high)
+
     def test_seen_values(self):
         stats = compute_column_stats(make_dataset(cat={"U1": ["a", "a", "b"]}))
         assert stats.categorical["U1"] == ["a", "b"]

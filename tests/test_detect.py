@@ -681,3 +681,84 @@ class TestMatchesRowLoopReference:
         assert all(r.violations == [] and r.score == 0.0 for r in reports)
         # every clean row owns its empty list
         assert len({id(r.violations) for r in reports}) == len(reports)
+
+
+# rows that open or close a run of rows with as many digits, or a writer block of 9, 10 or 11 rows
+EDGE_ROWS = [0, 8, 9, 10, 11, 17, 18, 19, 20, 21, 22, 99, 100, 999, 1000, 9999, 10000, 10009]
+WRITER_ROWS = 10_010
+
+
+@pytest.fixture(scope="module")
+def writer_tables(tmp_path_factory):
+    """Per table kind: the ruleset, detect's reports and the bytes the
+    per-row json.dumps writer gives for the row loop's reports.  Flagged
+    rows cycle through the nine XY_ROWS pairs that break a rule."""
+    flagged_pairs = XY_ROWS[1:10]
+    flagged = {
+        "edges": EDGE_ROWS,
+        "none": [],
+        "all": range(WRITER_ROWS),
+        "empty": [],
+    }
+    tables = {}
+    for kind, rows in flagged.items():
+        n = 0 if kind == "empty" else WRITER_ROWS
+        pairs = [(1, 1)] * n
+        for r in rows:
+            pairs[r] = flagged_pairs[r % len(flagged_pairs)]
+        dataset = make_dataset(cont={"X": [x for x, _ in pairs], "Y": [y for _, y in pairs]})
+        ruleset = xy_ruleset(dataset.schema)
+        config = DetectionConfig(phi=0.5)
+        path = tmp_path_factory.mktemp("writer") / f"{kind}.jsonl"
+        write_reports_by_json_dumps(reports_by_row_loop(ruleset, dataset, config), ruleset, str(path))
+        reports = detect(ruleset, dataset, config)
+        tables[kind] = ruleset, reports, path.read_bytes()
+    return tables
+
+
+class TestWriterBlocksAndDigits:
+    """write_reports gives the per-row json.dumps writer's bytes where row
+    numbers gain a digit (9 -> 10 ... 9999 -> 10000) and where writer
+    blocks open and close, on and next to those rows."""
+
+    @pytest.mark.parametrize("kind", ["edges", "none", "all", "empty"])
+    @pytest.mark.parametrize("block", [9, 10, 11, 1000, None])
+    def test_bytes_equal_the_json_dumps_writer(self, writer_tables, tmp_path, monkeypatch, kind, block):
+        if block:
+            monkeypatch.setattr(detect_module, "_WRITE_ROWS", block)
+        ruleset, reports, expected = writer_tables[kind]
+        path = tmp_path / "ours.jsonl"
+        write_reports(reports, ruleset, str(path))
+        assert path.read_bytes() == expected
+
+    def test_flagged_rows_open_and_close_blocks_and_digit_runs(self, writer_tables):
+        _, reports, _ = writer_tables["edges"]
+        flagged = set(reports.hit.tolist())
+        assert flagged == set(EDGE_ROWS) and reports.anomaly_count() > 0
+        assert len(writer_tables["all"][1].hit) == WRITER_ROWS
+        for block in (9, 10, 11):
+            assert {0, block - 1, block, 2 * block - 1} <= flagged
+        # each run of rows with as many digits starts and ends flagged
+        assert {0, WRITER_ROWS - 1} | {10**d + e for d in range(1, 5) for e in (-1, 0)} <= flagged
+        # flagged rows next to each other, with no clean line between them
+        assert {8, 9, 10, 11} <= flagged
+
+    def test_rows_sharing_violations_keep_their_own_scores(self, tmp_path):
+        ruleset = xy_ruleset(make_schema(cont=("X", "Y")))
+        violation = detect_module.RuleViolation(0, ruleset.rules[0], ruleset.rules[0].consequent[:1])
+        # rows 0, 2 and 3 carry the same violation but two scores, which only a hand-built Reports can give
+        reports = detect_module.Reports(
+            scores=np.array([0.25, 0.0, 0.75, 0.25]),
+            phi=0.5,
+            violations=(violation,),
+            hit=np.array([0, 2, 3]),
+            starts=np.array([0, 1, 2, 3]),
+            ids=np.array([0, 0, 0]),
+        )
+        ours, theirs = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+        write_reports(reports, ruleset, str(ours))
+        write_reports_by_json_dumps(reports, ruleset, str(theirs))
+        assert ours.read_bytes() == theirs.read_bytes()
+        lines = [json.loads(line) for line in ours.read_text().splitlines()]
+        flags = [(0.25, False), (0.0, False), (0.75, True), (0.25, False)]
+        assert [(r["score"], r["is_anomaly"]) for r in lines] == flags
