@@ -8,10 +8,13 @@ test file; values unseen at training time receive fresh codes and thus
 never match predicates built from training codes.
 
 load_csv has two readers that give the same arrays, schema and errors.
-The columnar reader takes the file in blocks of 256 KiB, parses whole
-continuous columns with np.loadtxt and codes categorical cells by their
-8-byte words, one integer sort per word; it reads only what it can show
-it reads exactly as csv.reader and float() do (unquoted UTF-8 without
+The columnar reader takes the file in blocks of 256 KiB and codes each
+column's cells by their text, one integer sort per column and block
+(dictionary decoding, as in column stores).  Categorical columns rank
+the distinct texts by first appearance; continuous columns call float()
+once per distinct text, except that a block whose texts are mostly
+distinct is parsed by np.loadtxt.  It reads only what it can show it
+reads exactly as csv.reader and float() do (unquoted UTF-8 without
 stray control characters) and otherwise hands the file to the row
 parser, which is the only one that raises DataError.  Neither changes
 the schema unless every row read loads.  Given a row count, both stop at
@@ -292,7 +295,9 @@ def load_csv(path: str, schema: Schema, *, rows: int | None = None) -> Dataset:
     The dialect is csv.reader's default (comma delimiter, double-quote
     quoting, LF, CRLF or CR line ends) over UTF-8.  A file with no quote,
     no control character but tab, LF and the CR of a CRLF, and no cell
-    the row parser would reject is read column by column; any other file
+    the row parser would reject is read column by column, unless a
+    continuous column's block of mostly distinct texts holds a number
+    np.loadtxt refuses (1_0, a non-ASCII digit or space); any other file
     goes through the row parser, with the same result or error.
     """
     if rows is not None and rows < 1:
@@ -365,6 +370,14 @@ def _words(block: bytes) -> np.ndarray:
 _MASKS = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
 
 
+# An odd multiplier for _distinct's key mix: 2**64 over the golden ratio
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+# A continuous column whose block holds more than one distinct text per
+# this many cells is parsed by np.loadtxt, not text by text with float()
+_DISTINCT_SHARE = 4
+
+
 def _dedupe(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct key's first position, in key order, and each key's
     index among the distinct keys.  One unstable sort: the first position
@@ -380,28 +393,47 @@ def _dedupe(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def _first_seen(
-    block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seen: dict[bytes, int]
-) -> np.ndarray:
-    """Each cell's rank in `seen`, which maps every value met so far to its
-    rank of first appearance and is extended in cell order.
+def _distinct(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cells' texts as a dictionary: each distinct text's first cell,
+    and each cell's index among the distinct texts, as _dedupe gives
+    them.  None when two different texts share a key.
 
-    Cells are told apart by their 8-byte words (words is _words(block)),
-    each masked to the bytes left in the cell.  The first word gives
-    dense codes and every further word refines them exactly, as code * k
-    + the word's own dense code among its k distinct values, a product
-    below the square of the block's cell count.  The zero bytes of the
-    mask cannot make two texts equal, since a plain block holds no NUL.
-    Each distinct value is sliced from block once."""
-    code = None
+    A cell's key is its first 8-byte word (words is _words(block)),
+    masked to the cell's bytes, into which each further word is mixed by
+    an odd multiply, a shift and an xor.  The zero bytes of the mask
+    cannot make two texts equal, since a plain block holds no NUL, so
+    cells of at most 8 bytes are keyed by their text.  One sort groups
+    equal keys, and when a cell is longer every word of every cell is
+    compared with its group's first cell, so equal codes mean equal
+    texts."""
+    masked = []
     for j in range(0, int(lengths.max()), 8):
         at = np.minimum(starts + j, len(words) - 1)
-        word = words[at] & _MASKS[np.clip(lengths - j, 0, 8)]
-        first, dense = _dedupe(word)
-        if code is None:
-            code = dense
-        else:
-            first, code = _dedupe(code * len(first) + dense)
+        masked.append(words[at] & _MASKS[np.clip(lengths - j, 0, 8)])
+    key = masked[0]
+    for word in masked[1:]:
+        key = key * _MIX
+        key ^= key >> 29  # the multiply carries low bits up only
+        key ^= word
+    first, code = _dedupe(key)
+    if len(masked) > 1:
+        head = first[code]
+        if not all(np.array_equal(word[head], word) for word in masked):
+            return None
+    return first, code
+
+
+def _first_seen(
+    block: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seen: dict[bytes, int]
+) -> np.ndarray | None:
+    """Each cell's rank in `seen`, which maps every value met so far to its
+    rank of first appearance and is extended in cell order (words is
+    _words(block)).  The cells are coded by _distinct, so each distinct
+    value is sliced from block once; None when two texts share a key."""
+    found = _distinct(words, starts, lengths)
+    if found is None:
+        return None
+    first, code = found
     order = np.argsort(first)
     at = first[order]
     ends = starts[at] + lengths[at]
@@ -410,19 +442,34 @@ def _first_seen(
     return rank[code]
 
 
+def _numbers(block: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """float() of each cell's text, the str csv.reader yields for it; None
+    unless every value parses and is finite."""
+    ends = starts + lengths
+    try:
+        values = np.array([float(block[s:e].decode("utf-8")) for s, e in zip(starts.tolist(), ends.tolist())])
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset | None:
     """load_csv's columnar path, or None when it cannot show that it reads
     the file exactly as _load_rows does; None leaves the schema untouched.
 
     The file is read in blocks of about _BLOCK_BYTES that end on a line
-    boundary.  Cells are located from the comma and newline offsets,
-    continuous columns parsed by np.loadtxt, and categorical values
-    ranked by first appearance (_first_seen); the schema interns them
-    only after the last block has passed.  A column the schema does not
-    read may hold empty cells.  With rows, the block holding the last row
-    wanted is cut after that row's LF and no later block is read: in a
-    plain block each LF ends one record, and a lone CR before the cut
-    still sends the file to the row parser.
+    boundary.  Cells are located from the comma and newline offsets and
+    each column's block of cells is coded by text (_distinct).  A
+    categorical column ranks its texts by first appearance (_first_seen);
+    the schema interns them only after the last block has passed.  A
+    continuous column calls float() once per distinct text and gathers
+    the values by code, unless its block holds more than one distinct
+    text per _DISTINCT_SHARE cells: such columns are parsed by one
+    np.loadtxt call per block.  A column the schema does not read may
+    hold empty cells.  With rows, the block holding the last row wanted
+    is cut after that row's LF and no later block is read: in a plain
+    block each LF ends one record, and a lone CR before the cut still
+    sends the file to the row parser.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -438,7 +485,6 @@ def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset
         width = len(names)
         cont = [c.name for c in schema.columns if c.kind == CONTINUOUS]
         cat = [c.name for c in schema.columns if c.kind == CATEGORICAL]
-        usecols = [position[n] for n in cont]
         used = [position[n] for n in schema.names]
         parts: dict[str, list[np.ndarray]] = {n: [] for n in schema.names}
         seen: dict[str, dict[bytes, int]] = {n: {} for n in cat}
@@ -447,16 +493,33 @@ def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset
             block += fh.readline()
             if not block.endswith(b"\n"):
                 block += b"\n"
-            if rows is not None and block.count(b"\n") >= rows - taken:
-                lf = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-                block = block[: lf[rows - taken - 1] + 1]
             buf = np.frombuffer(block, dtype=np.uint8)
+            if rows is not None:
+                lf = np.flatnonzero(buf == ord("\n"))
+                if len(lf) >= rows - taken:
+                    block = block[: lf[rows - taken - 1] + 1]
+                    buf = np.frombuffer(block, dtype=np.uint8)
             cells = _cells(buf, width, used) if _plain(block) else None
             if cells is None:
                 return None
             starts, lengths = cells
             taken += len(starts)
-            if cont:
+            words = _words(block)
+            by_loadtxt = []
+            for name in cont:
+                pos = position[name]
+                found = _distinct(words, starts[:, pos], lengths[:, pos])
+                if found is None:
+                    return None
+                first, code = found
+                if len(first) * _DISTINCT_SHARE > len(code):
+                    by_loadtxt.append(name)
+                    continue
+                values = _numbers(block, starts[first, pos], lengths[first, pos])
+                if values is None:
+                    return None
+                parts[name].append(values[code])
+            if by_loadtxt:
                 # latin-1 makes each byte one character: an ASCII cell reads
                 # as in UTF-8, and any other cell holds a UTF-8 lead byte that
                 # latin-1 makes a letter, which loadtxt rejects
@@ -467,7 +530,7 @@ def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset
                         delimiter=",",
                         comments=None,
                         quotechar=None,
-                        usecols=usecols,
+                        usecols=[position[n] for n in by_loadtxt],
                         ndmin=2,
                         encoding="latin-1",
                     )
@@ -475,12 +538,14 @@ def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset
                     return None
                 if not np.isfinite(values).all():
                     return None
-                for name, column in zip(cont, values.T):
+                for name, column in zip(by_loadtxt, values.T):
                     parts[name].append(column.copy())
-            words = _words(block) if cat else None
             for name in cat:
                 pos = position[name]
-                parts[name].append(_first_seen(block, words, starts[:, pos], lengths[:, pos], seen[name]))
+                codes = _first_seen(block, words, starts[:, pos], lengths[:, pos], seen[name])
+                if codes is None:
+                    return None
+                parts[name].append(codes)
     if not taken:
         return None
 
@@ -695,8 +760,11 @@ def compute_column_stats(dataset: Dataset) -> ColumnStats:
                 mean, std = float(scaled.mean()) * scale, float(scaled.std()) * scale
             continuous[col.name] = ContinuousStats(mean=mean, std=std, minimum=minimum, maximum=maximum)
         else:
-            codes = sorted(int(c) for c in np.unique(arr))
-            categorical[col.name] = [dataset.schema.value_of(col.name, c) for c in codes]
+            bad = (arr < 0) | (arr >= len(col.values))
+            if bad.any():
+                dataset.schema.value_of(col.name, int(arr[bad].min()))  # raises for the least code with no value
+            codes = np.flatnonzero(np.bincount(arr)).tolist()
+            categorical[col.name] = [col.values[c] for c in codes]
     return ColumnStats(continuous, categorical)
 
 

@@ -333,6 +333,43 @@ LOADER_CASES.update(
 )
 
 
+# A continuous column takes float() once per distinct text where its block
+# holds at least data._DISTINCT_SHARE cells per text, so each case repeats
+# its rows that often.  A 16-byte block holds at most 3 of these rows and
+# hands every continuous cell to np.loadtxt: the cases flagged ONE_BLOCK
+# hold a number loadtxt refuses and only float() reads, so they are
+# columnar as one block and go to the row parser in 16-byte blocks.
+ONE_BLOCK = "columnar as one block"
+
+
+def _repeated(*rows):
+    return b"X1,U1,X2,U2\n" + "".join(row + "\n" for row in rows).encode() * data._DISTINCT_SHARE
+
+
+LOADER_CASES.update(
+    {
+        "signed zeros and trailing zeros": (_repeated("-0.0,a,1.5,b", "0.0,a,1.50,b"), True),
+        # 17- and 18-byte texts differing in their first or their last word
+        "three-word numbers": (
+            _repeated(
+                "1.234567890123456,a,-1.234567890123456,b",
+                "2.234567890123456,a,0.1234567890123456,b",
+                "1.234567890123457,a,-1.234567890123456,b",
+            ),
+            True,
+        ),
+        "tab- and space-padded numbers": (_repeated(" 1.5,a,\t2,b", "1.5 ,a,2\t,b", "\t 3 ,a, \t2,b"), True),
+        "underscores": (_repeated("1_0,a,2,b", "3,a,1_000.5,b"), ONE_BLOCK),
+        "NBSP-padded numbers": (_repeated("\u00a01,a,2\u00a0,b", "1,a,2,b"), ONE_BLOCK),
+        "Arabic-Indic digits": (_repeated("\u0661\u0662,a,2,b", "12,a,2,b"), ONE_BLOCK),
+        "full-width digits": (_repeated("\uff11.\uff15,a,2,b", "1.5,a,2,b"), ONE_BLOCK),
+        "repeated nan": (_repeated("1,a,2,b", "nan,a,2,b"), False),
+        "repeated inf": (_repeated("1,a,-inf,b", "1,a,2,b"), False),
+        "repeated overflow": (_repeated("1e999,a,2,b", "1,a,2,b"), False),
+    }
+)
+
+
 # without a continuous column no loadtxt call sees the file
 CATEGORICAL_CASES = {
     "CRLF": (b"U1,U2\r\na,b\r\nc,d\r\n", True),
@@ -341,6 +378,13 @@ CATEGORICAL_CASES = {
     "blank line": (b"U1,U2\na,b\n\nc,d\n", False),
 }
 CATEGORICAL_CASES.update((name, (b"U1,U2\n" + _word_rows(values, "{a},{b}"), True)) for name, values in WORD_VALUES.items())
+
+# one short continuous column: a 16-byte block holds 5 or more rows
+NUMBER_CASES = {
+    # the first block's 9 texts are distinct, so np.loadtxt parses them;
+    # float() reads each later block's one text, which loadtxt refuses
+    "distinct block, then repeated ones": (b"X1\n" + b"".join(b"%d\n" % i for i in range(1, 10)) + b"1_0\n" * 35, True),
+}
 
 # with one column a blank line is an empty schema cell, not a short row
 ONE_COLUMN_CASES = {
@@ -361,21 +405,44 @@ def _one_column_schema():
     return make_schema(cat=("U1",))
 
 
+def _number_schema():
+    return make_schema(cont=("X1",))
+
+
 @pytest.mark.parametrize("block", [None, 16], ids=["one block", "16-byte blocks"])
 @pytest.mark.parametrize(
     "content,columnar,schema",
     [(*case, _schema_with_values) for case in LOADER_CASES.values()]
     + [(*case, _categorical_schema) for case in CATEGORICAL_CASES.values()]
+    + [(*case, _number_schema) for case in NUMBER_CASES.values()]
     + [(*case, _one_column_schema) for case in ONE_COLUMN_CASES.values()],
     ids=list(LOADER_CASES)
     + [f"categorical only, {name}" for name in CATEGORICAL_CASES]
+    + [f"one number column, {name}" for name in NUMBER_CASES]
     + [f"one column, {name}" for name in ONE_COLUMN_CASES],
 )
 def test_loader_case_reads_like_the_row_parser(tmp_path, content, columnar, schema, block):
     path = tmp_path / "d.csv"
     path.write_bytes(content)
+    if columnar == ONE_BLOCK:
+        columnar = block is None
     with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
         assert assert_reads_like_the_row_parser(str(path), schema()) == columnar
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [("1.234567890,a,2,b", "2.234567890,a,2,b"), ("1,aaaaaaaaZ,2,b", "1,bbbbbbbbZ,2,b")],
+    ids=["continuous", "categorical"],
+)
+def test_a_key_clash_sends_the_file_to_the_row_parser(tmp_path, rows):
+    # with no multiply a multi-word cell's key is its last word: these
+    # cells differ in their first 8 bytes only, so they share a key
+    path = tmp_path / "d.csv"
+    path.write_bytes(_repeated(*rows))
+    assert assert_reads_like_the_row_parser(str(path), _schema_with_values())
+    with mock.patch.object(data, "_MIX", np.uint64(0)):
+        assert not assert_reads_like_the_row_parser(str(path), _schema_with_values())
 
 
 def test_values_first_seen_in_a_later_block(tmp_path):
@@ -773,6 +840,23 @@ class TestColumnStats:
     def test_seen_values(self):
         stats = compute_column_stats(make_dataset(cat={"U1": ["a", "a", "b"]}))
         assert stats.categorical["U1"] == ["a", "b"]
+
+    def test_seen_values_are_in_code_order_without_unused_ones(self):
+        schema = make_schema(cat=("U1",))
+        for value in ("w", "x", "y", "z"):
+            schema.intern("U1", value)
+        dataset = Dataset(schema, {"U1": np.array([3, 1, 3, 1, 3], dtype=np.int64)})
+        assert compute_column_stats(dataset).categorical["U1"] == ["x", "z"]
+
+    @pytest.mark.parametrize("codes, bad", [([0, 5, 2, 7], 2), ([1, -1, 9, -3], -3)], ids=["too large", "negative"])
+    def test_a_code_with_no_value_is_a_data_error(self, codes, bad):
+        schema = make_schema(cat=("U1",))
+        schema.intern("U1", "a")
+        schema.intern("U1", "b")
+        dataset = Dataset(schema, {"U1": np.array(codes, dtype=np.int64)})
+        with pytest.raises(DataError) as exc:
+            compute_column_stats(dataset)
+        assert str(exc.value) == f"column 'U1': no value with code {bad}"
 
     def test_empty_dataset_rejected(self):
         dataset = make_dataset(cont={"X1": []})
