@@ -1,14 +1,19 @@
 """Synthetic mixed-table generators for demos and tests.
 
 planted_rule_data embeds one known invariant: whenever X1 lies in
-[5, 10) and X2 is at least 20.4, X3 stays below 7.1.  The continuous
-columns take values from small fixed grids chosen so that decision
-trees recover exactly the planted thresholds: each threshold is the
-midpoint of the two grid values that straddle it, and no other value
-pair can propose a cut-off inside a planted bin.  Indicator
-categorical columns (noisy copies of the regimes) make the relevant
-splits carry large gain, and a skewed four-value column exercises the
-disjunction pooling path.
+[5, 10) and X2 is at least 20.4, X3 stays below 7.1.  Every row of a
+table built with violation_rate 0 honours it.  The continuous columns
+take values from small fixed grids, and each planted threshold is the
+midpoint of the two grid values that straddle it, so a tree that
+splits between those values proposes exactly that threshold.  Trees
+are not bound to make those splits: at theta 0.15 the cut-off X1 = 5
+is missing on some seeds, and then no rule is mined.  Indicator
+categorical columns are noisy copies of the regimes, and a skewed
+four-value column exercises the disjunction pooling path.
+
+Both generators build each categorical column from one numpy string
+array, coded with its values in first-seen order, so the table equals
+what Dataset.from_columns builds from the same strings.
 """
 
 from __future__ import annotations
@@ -27,19 +32,14 @@ X4_GRID = tuple(0.5 + k for k in range(8))
 FLIP = 0.1
 
 
-def _planted_schema() -> Schema:
-    return Schema(
-        [
-            Column("X1", CONTINUOUS, []),
-            Column("X2", CONTINUOUS, []),
-            Column("X3", CONTINUOUS, []),
-            Column("X4", CONTINUOUS, []),
-            Column("U1", CATEGORICAL, []),
-            Column("U2", CATEGORICAL, []),
-            Column("U3", CATEGORICAL, []),
-            Column("U4", CATEGORICAL, []),
-        ]
-    )
+def _coded(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct strings of values in first-seen order, and each row's
+    index into them."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    code = np.empty(len(first), dtype=np.int64)
+    code[by_first] = np.arange(len(first))
+    return distinct[by_first].tolist(), code[inverse]
 
 
 def planted_rule_data(
@@ -96,20 +96,12 @@ def planted_rule_data(
     u3 = np.where(flip(x1 == X1_IN), "mid", "side")
     u4 = np.where(flip(x2 == X2_IN), "hi", "lo")
 
-    dataset = Dataset.from_columns(
-        _planted_schema(),
-        {
-            "X1": x1,
-            "X2": x2,
-            "X3": x3,
-            "X4": x4,
-            "U1": u1.tolist(),
-            "U2": u2.tolist(),
-            "U3": u3.tolist(),
-            "U4": u4.tolist(),
-        },
-    )
-    return dataset, labels
+    columns = {"X1": x1, "X2": x2, "X3": x3, "X4": x4}
+    schema_cols = [Column(name, CONTINUOUS, []) for name in columns]
+    for name, values in (("U1", u1), ("U2", u2), ("U3", u3), ("U4", u4)):
+        distinct, columns[name] = _coded(values)
+        schema_cols.append(Column(name, CATEGORICAL, distinct))
+    return Dataset(Schema(schema_cols), columns), labels
 
 
 def random_mixed_dataset(
@@ -125,7 +117,7 @@ def random_mixed_dataset(
     if n_continuous < 1 or n_categorical < 1:
         raise ValueError("need at least one column of each kind")
     rng = np.random.default_rng(seed)
-    columns: dict[str, list | np.ndarray] = {}
+    columns: dict[str, np.ndarray] = {}
     schema_cols: list[Column] = []
     cont_names: list[str] = []
 
@@ -144,7 +136,6 @@ def random_mixed_dataset(
 
     for i in range(n_categorical):
         name = f"U{i + 1}"
-        schema_cols.append(Column(name, CATEGORICAL, []))
         if rng.random() < 0.5:
             source = columns[cont_names[int(rng.integers(0, n_continuous))]]
             pivot = float(np.median(source))
@@ -156,6 +147,7 @@ def random_mixed_dataset(
             vocab = [f"v{j}" for j in range(k)]
             masses = rng.dirichlet(np.full(k, 0.8))
             values = rng.choice(vocab, size=n_rows, p=masses)
-        columns[name] = values.tolist()
+        distinct, columns[name] = _coded(values)
+        schema_cols.append(Column(name, CATEGORICAL, distinct))
 
-    return Dataset.from_columns(Schema(schema_cols), columns)
+    return Dataset(Schema(schema_cols), columns)

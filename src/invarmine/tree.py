@@ -5,14 +5,16 @@ node keeps its size and split and there are no leaf values.  Trees grow
 without pruning or depth caps; the only stop criteria are a leaf-size
 floor and zero split gain.  Split quality is information gain (base-2
 entropy) for classification targets and variance reduction (population
-variance, sample-weighted children) for regression targets.  A
-threshold parts consecutive distinct values lo < hi within the node: it
-is their midpoint when that lies strictly between them, else hi (the
-midpoint of neighbouring floats can round onto hi, and near the float
-maximum it overflows).  A row goes right when its value is >= the
-threshold, and both children must keep strictly more than min_leaf
-rows.  Ties are broken toward the lowest feature index, then the
-smallest threshold, so fitting is deterministic.
+variance, sample-weighted children) for regression targets; a node
+whose targets pass 2^500 in magnitude is scaled by a power of two first,
+so no square or sum overflows and every gain changes by one exact
+factor.  A threshold parts consecutive distinct values lo < hi within
+the node: it is their midpoint when that lies strictly between them,
+else hi (the midpoint of neighbouring floats can round onto hi, and
+near the float maximum it overflows).  A row goes right when its value
+is >= the threshold, and both children must keep strictly more than
+min_leaf rows.  Ties are broken toward the lowest feature index, then
+the smallest threshold, so fitting is deterministic.
 
 Each continuous column is sorted once per training run with a stable
 argsort, and every tree of the run shares those row orders read-only.
@@ -168,15 +170,25 @@ def _classification_gains(y: np.ndarray, yn: np.ndarray, n_classes: int):
     return gains
 
 
+_SCALE_ABOVE = 2.0**500  # regression targets larger in magnitude are scaled before squaring
+
+
 def _regression_gains(y: np.ndarray, yn: np.ndarray):
     """Variance reduction of candidate splits; as _classification_gains."""
     n = len(yn)
+    top = max(yn.max(), -yn.min())
+    # squares of targets this large overflow, and near the float maximum so
+    # does the mean's sum; a power-of-two scale is exact, so every gain
+    # changes by one factor and the same split wins
+    shift = -int(np.frexp(top)[1]) if top > _SCALE_ABOVE else 0
+    if shift:
+        yn = np.ldexp(yn, shift)
     mean = yn.mean()
     centered = yn - mean  # centering on the node's mean keeps the prefix sums well conditioned
     var_parent = float(np.mean(centered**2) - np.mean(centered) ** 2)
 
     def gains(order: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        cs = y[order] - mean
+        cs = (np.ldexp(y[order], shift) if shift else y[order]) - mean
         s1 = np.cumsum(cs)
         s2 = np.cumsum(cs**2)
         t1, t2 = s1[-1], s2[-1]

@@ -1,10 +1,13 @@
 """End-to-end training behavior and the synthetic generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from invarmine.data import CATEGORICAL, CONTINUOUS
-from invarmine.detect import score_dataset
+from invarmine.data import CATEGORICAL, CONTINUOUS, Column, Dataset, Schema, load_csv, write_csv
+from invarmine.detect import DetectionConfig, detect, score_dataset, write_reports
+from invarmine.evaluate import holdout_split
 from invarmine.mining import BOUNDARY, MiningConfig, save_ruleset
 from invarmine.pipeline import train_ruleset
 from invarmine.synth import X3_HIGH, planted_rule_data, random_mixed_dataset
@@ -141,3 +144,76 @@ class TestRandomMixedData:
             random_mixed_dataset(50, 0, 2, seed=1)
         with pytest.raises(ValueError, match="at least one column of each kind"):
             random_mixed_dataset(50, 2, 0, seed=1)
+
+
+class TestGeneratorCoding:
+    """The generators code categorical columns themselves; the result must
+    equal what Dataset.from_columns builds from the same value strings."""
+
+    @staticmethod
+    def rebuilt(dataset):
+        schema = Schema([Column(c.name, c.kind, []) for c in dataset.schema.columns])
+        columns = {}
+        for col in dataset.schema.columns:
+            codes = dataset.column(col.name)
+            columns[col.name] = codes if col.kind == CONTINUOUS else [col.values[k] for k in codes]
+        return Dataset.from_columns(schema, columns)
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda n, seed: planted_rule_data(n, seed)[0],
+            lambda n, seed: planted_rule_data(n, seed, 0.05)[0],
+            lambda n, seed: random_mixed_dataset(n, 12, 8, seed),
+            lambda n, seed: random_mixed_dataset(n, 1, 3, seed),
+        ],
+        ids=["planted", "planted-violations", "random-12-8", "random-1-3"],
+    )
+    def test_codes_equal_the_list_builders(self, generate):
+        for seed in range(30):
+            for n in (1, 2, 5, 200, 3000):
+                dataset = generate(n, seed)
+                expected = self.rebuilt(dataset)
+                for col, want in zip(dataset.schema.columns, expected.schema.columns):
+                    assert col.values == want.values, (seed, n, col.name)
+                    got, codes = dataset.column(col.name), expected.column(col.name)
+                    assert got.dtype == codes.dtype and np.array_equal(got, codes), (seed, n, col.name)
+
+
+class TestPinnedOutputs:
+    """SHA-256 of the rule file and the score report on two generated
+    cases.  The test table goes through write_csv and load_csv against the
+    rule file's schema, as `invarmine score` reads it.  A change meant to
+    alter outputs updates these digests and records old and new values."""
+
+    @pytest.mark.parametrize(
+        "tables, theta, gamma, rules_digest, report_digest",
+        [
+            (
+                lambda: (planted_rule_data(2000, 7)[0], planted_rule_data(1000, 11, 0.05)[0]),
+                0.15,
+                0.3,
+                "1baca44141c80b62095684c288d8034893d16c8519cc04a89975b2b4d86f6c1e",
+                "1ff2f1d9a65a9a6387af294e7366dc060156136d2f6615aa8dd4279d14135324",
+            ),
+            # theta 0.05 mines rules beyond the boundary ones and flags rows of the held-out part
+            (
+                lambda: holdout_split(random_mixed_dataset(3000, 12, 8, 0)),
+                0.05,
+                0.0,
+                "991feaf88dd8ff4c3178ba49743a0e678310c18ddf3f0f892ceab8f074e3c6d1",
+                "602cb2a5282c43d20c088fdba2fe7a078c25a6d8a1ef941cc7db96ab2a005404",
+            ),
+        ],
+        ids=["planted", "random_mixed"],
+    )
+    def test_rule_file_and_report_keep_their_bytes(self, tmp_path, tables, theta, gamma, rules_digest, report_digest):
+        train, test = tables()
+        ruleset = train_ruleset(train, MiningConfig(theta=theta, gamma=gamma)).ruleset
+        rules, data, report = tmp_path / "rules.json", tmp_path / "test.csv", tmp_path / "report.txt"
+        save_ruleset(ruleset, str(rules))
+        write_csv(test, str(data))
+        reports = detect(ruleset, load_csv(str(data), ruleset.schema.copy()), DetectionConfig())
+        write_reports(reports, ruleset, str(report))
+        assert hashlib.sha256(rules.read_bytes()).hexdigest() == rules_digest
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest

@@ -1,5 +1,7 @@
 """Decision-tree fitting and cut-off harvesting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -116,6 +118,33 @@ class TestRegression:
         dataset = make_dataset(cont={"X1": [1.0, 2.0]}, cat={"U1": ["a", "b"]})
         with pytest.raises(TreeError, match="not continuous"):
             fit_regression_tree(dataset, "U1", min_leaf=1)
+
+    @staticmethod
+    def signed_step(scale):
+        """200 rows with Y = ±scale·(1 + 1e-3·noise), negative where X < 0.5."""
+        rng = np.random.default_rng(0)
+        x = rng.random(200)
+        y = np.where(x < 0.5, -scale, scale) * (1 + 1e-3 * rng.standard_normal(200))
+        return make_dataset(cont={"X": x, "Y": y})
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300, 1.7e308])
+    def test_huge_targets_still_split(self, scale):
+        """Squares of targets past about 1.3e154 overflow, and near the
+        float maximum so does the mean's sum; neither may hide the split."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = fit_regression_tree(self.signed_step(scale), "Y", min_leaf=20)
+        assert tree.root.split == fit_regression_tree(self.signed_step(1.0), "Y", min_leaf=20).root.split
+        assert tree.root.split.column == "X" and 0.5 <= tree.root.split.threshold < 0.51
+
+    @pytest.mark.parametrize("power", [600, 1000])
+    def test_power_of_two_targets_grow_the_same_tree(self, power):
+        """Scaling the targets by a power of two is exact, so every node
+        picks the split it picks at scale 1."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = fit_regression_tree(self.signed_step(2.0**power), "Y", min_leaf=5)
+        assert tree == fit_regression_tree(self.signed_step(1.0), "Y", min_leaf=5)
 
 
 class TestCutoffs:
