@@ -19,6 +19,7 @@ from .data import (
     compute_column_stats,
     load_csv,
     load_labels,
+    load_row,
     load_schema,
     save_schema,
     write_csv,
@@ -127,6 +128,7 @@ __all__ = [
     "holdout_split",
     "load_csv",
     "load_labels",
+    "load_row",
     "load_ruleset",
     "load_schema",
     "mine_frequent_sets",

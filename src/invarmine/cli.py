@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .data import DataError, Dataset, load_csv, load_labels, load_schema
+from .data import DataError, Dataset, load_csv, load_labels, load_row, load_schema
 from .detect import DetectionConfig, check_phi, detect, explain, score_dataset, write_reports
 from .evaluate import (
     DEFAULT_MAX_FPR,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--row", required=True, type=_non_negative_int,
-                   help="zero-based row index; the file is read only through this row")
+                   help="zero-based row index; no other row is parsed")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("evaluate", help="compute detection metrics on labeled data")
@@ -184,11 +184,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     ruleset = load_ruleset(args.rules)
-    # a row's score depends on that row alone, so nothing after it is read
-    dataset = load_csv(args.data, ruleset.schema.copy(), rows=args.row + 1)
-    if args.row >= dataset.row_count:
-        raise DataError(f"row {args.row} out of range: file has {dataset.row_count} rows")
-    (report,) = detect(ruleset, dataset.take([args.row]), DetectionConfig())
+    # a row's score depends on that row alone, so only the header and that row are parsed
+    dataset = load_row(args.data, ruleset.schema.copy(), args.row)
+    (report,) = detect(ruleset, dataset, DetectionConfig())
     report.row = args.row
     print(explain(report, ruleset).text())
     return 0

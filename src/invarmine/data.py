@@ -17,8 +17,12 @@ distinct is parsed by np.loadtxt.  It reads only what it can show it
 reads exactly as csv.reader and float() do (unquoted UTF-8 without
 stray control characters) and otherwise hands the file to the row
 parser, which is the only one that raises DataError.  Neither changes
-the schema unless every row read loads.  Given a row count, both stop at
-that row: nothing after it is parsed, checked or decoded.
+the schema unless every row loads.
+
+load_row reads one record: the header, the line ends before the record
+(or csv.reader's split of the earlier records when those hold a quote, a
+lone CR or a line longer than a block), and the record itself, which the
+row parser checks.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ import csv
 import io
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -275,22 +278,16 @@ class Dataset:
         return Dataset(self.schema, {n: a[idx] for n, a in self._arrays.items()})
 
 
-def load_csv(path: str, schema: Schema, *, rows: int | None = None) -> Dataset:
+def load_csv(path: str, schema: Schema) -> Dataset:
     """Parse a comma-separated file against a schema.
 
     The header must contain every schema column (extra file columns are
     ignored).  Continuous cells must parse as finite numbers; empty cells
     are rejected.  Categorical values are interned into the schema's
     dictionaries in first-seen order, extending them in place, and only
-    once every row read has parsed: on error the schema is unchanged.
-    Errors name the offending zero-based data row and column, or the
-    offset of a byte that is not UTF-8.
-
-    With rows, at most that many data rows are read: the result, error
-    and interned values are exactly those of a file holding the header
-    and the file's first rows records, so nothing after them can fail
-    the load.  A file with fewer records reads whole.  rows below 1
-    raises DataError.
+    once every row has parsed: on error the schema is unchanged.  Errors
+    name the offending zero-based data row and column, or the offset of a
+    byte that is not UTF-8.
 
     The dialect is csv.reader's default (comma delimiter, double-quote
     quoting, LF, CRLF or CR line ends) over UTF-8.  A file with no quote,
@@ -300,10 +297,8 @@ def load_csv(path: str, schema: Schema, *, rows: int | None = None) -> Dataset:
     np.loadtxt refuses (1_0, a non-ASCII digit or space); any other file
     goes through the row parser, with the same result or error.
     """
-    if rows is not None and rows < 1:
-        raise DataError(f"rows must be at least 1, got {rows}")
-    dataset = _load_columns(path, schema, rows)
-    return dataset if dataset is not None else _load_rows(path, schema, rows)
+    dataset = _load_columns(path, schema)
+    return dataset if dataset is not None else _load_rows(path, schema)
 
 
 # The columnar reader's unit of work: a block is this many bytes plus the
@@ -453,7 +448,7 @@ def _numbers(block: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return values if np.isfinite(values).all() else None
 
 
-def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset | None:
+def _load_columns(path: str, schema: Schema) -> Dataset | None:
     """load_csv's columnar path, or None when it cannot show that it reads
     the file exactly as _load_rows does; None leaves the schema untouched.
 
@@ -466,10 +461,7 @@ def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset
     the values by code, unless its block holds more than one distinct
     text per _DISTINCT_SHARE cells: such columns are parsed by one
     np.loadtxt call per block.  A column the schema does not read may
-    hold empty cells.  With rows, the block holding the last row wanted
-    is cut after that row's LF and no later block is read: in a plain
-    block each LF ends one record, and a lone CR before the cut still
-    sends the file to the row parser.
+    hold empty cells.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -489,17 +481,11 @@ def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset
         parts: dict[str, list[np.ndarray]] = {n: [] for n in schema.names}
         seen: dict[str, dict[bytes, int]] = {n: {} for n in cat}
         taken = 0
-        while taken != rows and (block := fh.read(_BLOCK_BYTES)):
+        while block := fh.read(_BLOCK_BYTES):
             block += fh.readline()
             if not block.endswith(b"\n"):
                 block += b"\n"
-            buf = np.frombuffer(block, dtype=np.uint8)
-            if rows is not None:
-                lf = np.flatnonzero(buf == ord("\n"))
-                if len(lf) >= rows - taken:
-                    block = block[: lf[rows - taken - 1] + 1]
-                    buf = np.frombuffer(block, dtype=np.uint8)
-            cells = _cells(buf, width, used) if _plain(block) else None
+            cells = _cells(np.frombuffer(block, dtype=np.uint8), width, used) if _plain(block) else None
             if cells is None:
                 return None
             starts, lengths = cells
@@ -558,13 +544,36 @@ def _load_columns(path: str, schema: Schema, rows: int | None = None) -> Dataset
     return Dataset(schema, arrays)
 
 
-def _utf8_lines(path: str, fh) -> Iterator[str]:
-    """The lines of fh, opened as latin-1 with newline="" so that each
-    character is one byte, decoded from UTF-8 one line at a time: no byte
-    after the last line taken is decoded."""
-    offset = 0
-    for line in fh:
-        raw = line.encode("latin-1")
+class _Lines:
+    """The lines of binary file fh from offset on, split at LF, CR and
+    CRLF as a text file opened with newline="" splits them; end is the
+    offset after the last line taken.  fh is read at most a block at a
+    time, so a file whose lines end in CR alone is not read whole."""
+
+    def __init__(self, fh, offset: int):
+        fh.seek(offset)
+        self.fh = fh
+        self.end = offset
+
+    def __iter__(self) -> Iterator[bytes]:
+        held = b""
+        while raw := self.fh.readline(_BLOCK_BYTES):
+            lines = (held + raw).splitlines(keepends=True)
+            # a read that stops short of an LF may end inside a line or between a CR and its LF
+            held = b"" if raw.endswith(b"\n") else lines.pop()
+            for line in lines:
+                self.end += len(line)
+                yield line
+        if held:
+            self.end += len(held)
+            yield held
+
+
+def _utf8_lines(path: str, lines: Iterable[bytes], offset: int = 0) -> Iterator[str]:
+    """Each of lines, the first of which starts at byte offset of the file
+    at path, decoded from UTF-8 one at a time: no byte after the last line
+    taken is decoded."""
+    for raw in lines:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -573,26 +582,31 @@ def _utf8_lines(path: str, fh) -> Iterator[str]:
         yield text
 
 
-def _load_rows(path: str, schema: Schema, rows: int | None = None) -> Dataset:
-    """load_csv's row parser: csv.reader and float() cell by cell, over at
-    most rows records.  It takes any file and words every DataError.
+def _load_rows(path: str, schema: Schema) -> Dataset:
+    """load_csv's row parser: csv.reader and float() cell by cell.  It
+    takes any file and words every DataError.
 
     A text file decodes a chunk ahead of the records taken, so a byte
-    that is not UTF-8 can stop it before an earlier row's error or past
-    the last row wanted.  Then the file is parsed again through
-    _utf8_lines, which decodes only the lines csv.reader takes."""
+    that is not UTF-8 can stop it before an earlier row's error.  Then
+    the file is parsed again through _utf8_lines, which decodes only the
+    lines csv.reader takes."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_rows(path, fh, schema, rows)
+            return _parse_rows(path, fh, schema)
     except UnicodeDecodeError:
-        with open(path, newline="", encoding="latin-1") as fh:
-            return _parse_rows(path, _utf8_lines(path, fh), schema, rows)
+        with open(path, "rb") as fh:
+            return _parse_rows(path, _utf8_lines(path, _Lines(fh, 0)), schema)
 
 
-def _parse_rows(path: str, lines: Iterator[str], schema: Schema, rows: int | None) -> Dataset:
-    """_load_rows over the file's lines; Dataset.from_columns codes the
-    categorical values once every row has parsed."""
+def _parse_rows(path: str, lines: Iterable[str], schema: Schema) -> Dataset:
+    """_load_rows over the file's lines."""
     reader = csv.reader(lines)
+    return _parse_records(path, reader, schema, _header(path, reader, schema))
+
+
+def _header(path: str, reader, schema: Schema) -> dict[str, int]:
+    """Each header name's first position; the header is the next record
+    of csv reader."""
     try:
         header = next(reader)
     except StopIteration:
@@ -607,7 +621,15 @@ def _parse_rows(path: str, lines: Iterator[str], schema: Schema, rows: int | Non
     for name in schema.names:
         if name not in positions:
             raise DataError(f"{path}: header omits schema column {name!r}")
+    return positions
 
+
+def _parse_records(
+    path: str, records: Iterable[list[str]], schema: Schema, positions: dict[str, int], first: int = 0
+) -> Dataset:
+    """The records' schema cells checked and parsed, the records numbered
+    from first in errors; Dataset.from_columns codes the categorical
+    values once every record has parsed."""
     cont_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CONTINUOUS]
     cat_cols = [(c.name, positions[c.name]) for c in schema.columns if c.kind == CATEGORICAL]
     columns: dict[str, list] = {n: [] for n in schema.names}
@@ -615,9 +637,9 @@ def _parse_rows(path: str, lines: Iterator[str], schema: Schema, rows: int | Non
     distinct: dict[str, str] = {}
 
     width = max(positions[n] for n in schema.names) + 1
-    i = -1
+    i = first - 1
     try:
-        for i, record in enumerate(islice(reader, rows)):
+        for i, record in enumerate(records, first):
             if len(record) < width:
                 raise DataError(f"{path}: row {i}: expected at least {width} fields, got {len(record)}")
             for name, pos in cont_cols:
@@ -639,9 +661,95 @@ def _parse_rows(path: str, lines: Iterator[str], schema: Schema, rows: int | Non
     except csv.Error as exc:
         raise DataError(f"{path}: row {i + 1}: {exc}") from None
 
-    if i < 0:
+    if i < first:
         raise DataError(f"{path}: no data rows")
     return Dataset.from_columns(schema, columns)
+
+
+def load_row(path: str, schema: Schema, row: int) -> Dataset:
+    """Data row `row` (zero-based) of a CSV file as a one-row Dataset.
+
+    The result, error and interned values are those of load_csv on the
+    file holding only the header and record `row`, except that an error
+    names row `row` and a byte that is not UTF-8 by its offset in this
+    file.  A header fault, an empty file and a file with no data rows
+    raise load_csv's errors, and a row past the last record raises
+    DataError naming the file's record count.
+
+    Only the header and the record are decoded and checked, so no other
+    record can fail the load.  The record is found by its line ends:
+    while the bytes before it hold no quote and no lone CR, each LF ends
+    one record, and the LFs are counted block by block.  From the first
+    block that holds one, or a line longer than a block, csv.reader
+    splits the records instead; of these, only one it cannot split (a
+    field over csv.field_size_limit()) raises DataError, naming that row.
+    """
+    if row < 0:
+        raise DataError(f"row must be at least 0, got {row}")
+    with open(path, "rb") as fh:
+        lines = _Lines(fh, 0)
+        positions = _header(path, csv.reader(_utf8_lines(path, lines)), schema)
+        start, count = _record_start(path, fh, lines.end, row)
+        record = None
+        if count == row:
+            try:
+                record = next(csv.reader(_utf8_lines(path, _Lines(fh, start), start)), None)
+            except csv.Error as exc:
+                raise DataError(f"{path}: row {row}: {exc}") from None
+    if record is not None:
+        return _parse_records(path, [record], schema, positions, row)
+    if not count:
+        raise DataError(f"{path}: no data rows")
+    raise DataError(f"row {row} out of range: file has {count} rows")
+
+
+def _record_start(path: str, fh, offset: int, row: int) -> tuple[int, int]:
+    """Where record `row` of binary file fh starts, counting from the
+    record at offset, and the records before that point: row, or fewer
+    when the file ends first.  Cells are not checked."""
+    fh.seek(offset)
+    taken = 0
+    while taken < row and (block := fh.read(_BLOCK_BYTES)):
+        tail = fh.readline(_BLOCK_BYTES)
+        # a line that runs on past another block, like a quote or a lone CR, is left to csv.reader
+        long_line = len(tail) == _BLOCK_BYTES and not tail.endswith(b"\n")
+        block += tail
+        buf = np.frombuffer(block, dtype=np.uint8)
+        lf = buf == ord("\n")
+        # else a block ends with an LF or at the end of the file, where a last line may lack one
+        ends = int(np.count_nonzero(lf)) + (not block.endswith(b"\n"))
+        if ends > row - taken:
+            cut = np.flatnonzero(lf)[row - taken - 1] + 1
+            block, buf, lf, ends = block[:cut], buf[:cut], lf[:cut], row - taken
+        if long_line or b'"' in block or (b"\r" in block and _lone_cr(buf, lf)):
+            return _split_records(path, fh, offset, row, taken)
+        offset += len(block)
+        taken += ends
+    return offset, taken
+
+
+def _lone_cr(buf: np.ndarray, lf: np.ndarray) -> bool:
+    """Whether some CR in buf is not followed by an LF (lf is buf == LF)."""
+    cr = buf == ord("\r")
+    return np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & lf[1:])
+
+
+def _split_records(path: str, fh, offset: int, row: int, taken: int) -> tuple[int, int]:
+    """_record_start from record `taken`, which starts at offset, with the
+    records split by csv.reader; bytes that are not UTF-8 are kept as
+    surrogates, one per byte.  NUL is read as another character, as
+    csv.reader reads it since Python 3.11."""
+    lines = _Lines(fh, offset)
+    reader = csv.reader(line.decode("utf-8", "surrogateescape").replace("\0", "\1") for line in lines)
+    while taken < row:
+        try:
+            next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {taken}: {exc}") from None
+        taken += 1
+    return lines.end, taken
 
 
 def format_number(value: float) -> str:

@@ -34,15 +34,18 @@ class LabeledScores:
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if scores.ndim != 1 or labels.ndim != 1 or len(scores) != len(labels):
             raise DataError("scores and labels must be 1-d arrays of equal length")
         if len(scores) == 0:
             raise DataError("no scores to evaluate")
+        # checked as given: the int64 cast would truncate 0.9 to 0
         if not np.all((labels == 0) | (labels == 1)):
             raise DataError("labels must be 0 (normal) or 1 (anomaly)")
+        if not np.isfinite(scores).all():
+            raise DataError("scores must be finite")
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
 
 
 def roc_points(ls: LabeledScores) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,9 @@
+import os
+
 from hypothesis import HealthCheck, settings
 
+# every run replays the same examples; HYPOTHESIS_PROFILE=explore draws
+# new ones, ten times as many, for the scheduled exploration job
 settings.register_profile(
     "default",
     deadline=None,
@@ -11,4 +15,5 @@ settings.register_profile(
         HealthCheck.filter_too_much,
     ],
 )
-settings.load_profile("default")
+settings.register_profile("explore", settings.get_profile("default"), derandomize=False, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

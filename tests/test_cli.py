@@ -643,25 +643,28 @@ class TestExplain:
         assert cli.main(args) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_only_rows_through_the_one_explained_are_read(self, workdir, capsys, tmp_path):
+    def test_only_the_row_explained_is_read(self, workdir, capsys, tmp_path):
         ruleset = load_ruleset(workdir["rules"])
         reports = detect(ruleset, load_csv(workdir["test"], ruleset.schema.copy()), DetectionConfig())
-        row = next(r.row for r in reports if r.is_anomaly and r.row + 1 < len(reports))
+        row = next(r.row for r in reports if r.is_anomaly and 0 < r.row < len(reports) - 1)
         args = ["explain", "--rules", workdir["rules"], "--row"]
         assert cli.main(args + [str(row), "--data", workdir["test"]]) == 0
         expected = capsys.readouterr().out
-        # write_csv ends lines with CRLF; line row + 2 is row row + 1, and X1 is its first cell
+        # write_csv ends lines with CRLF; line i + 1 is row i, and X1 is its first cell
         lines = Path(workdir["test"]).read_bytes().split(b"\r\n")
-        lines[row + 2] = b"abc" + lines[row + 2][lines[row + 2].index(b",") :]
+        for i in (row - 1, row + 1):
+            lines[i + 1] = b"abc" + lines[i + 1][lines[i + 1].index(b",") :]
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\r\n".join(lines))
         with pytest.raises(DataError) as exc:
             load_csv(str(bad), ruleset.schema.copy())
-        assert f"row {row + 1}, column 'X1': cannot parse 'abc'" in str(exc.value)
+        assert f"row {row - 1}, column 'X1': cannot parse 'abc'" in str(exc.value)
         assert cli.main(args + [str(row), "--data", str(bad)]) == 0
         assert capsys.readouterr().out == expected
-        assert cli.main(args + [str(row + 1), "--data", str(bad)]) == 3
+        assert cli.main(args + [str(row - 1), "--data", str(bad)]) == 3
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert cli.main(args + [str(row + 1), "--data", str(bad)]) == 3
+        assert capsys.readouterr().err == f"error: {bad}: row {row + 1}, column 'X1': cannot parse 'abc' as a number\n"
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -22,6 +23,7 @@ from invarmine.data import (
     format_number,
     load_csv,
     load_labels,
+    load_row,
     load_schema,
     save_schema,
     write_csv,
@@ -504,11 +506,11 @@ def test_generated_files_read_like_the_row_parser(tmp_path_factory, block, conte
         assert_reads_like_the_row_parser(str(path), schema())
 
 
-def _first_records(content, k):
-    """content through the end of its header and first k records, as
-    csv.reader splits records: the file load_csv(..., rows=k) reads like.
-    Lines split as newline="" splits them, and latin-1 keeps every byte,
-    since csv's special characters are ASCII."""
+def _records(content):
+    """content's records as csv.reader splits them, header first, each as
+    its bytes.  Lines split as newline="" splits them, and latin-1 keeps
+    every byte, since csv's special characters are ASCII; NUL, which
+    csv.reader refused before Python 3.11, is read as another byte."""
     lines = content.splitlines(keepends=True)
     taken = 0
 
@@ -516,49 +518,57 @@ def _first_records(content, k):
         nonlocal taken
         for line in lines:
             taken += 1
-            yield line.decode("latin-1")
+            yield line.decode("latin-1").replace("\x00", "\x01")
 
-    reader = csv.reader(fed())
-    for _ in range(k + 1):
-        try:
-            next(reader)
-        except (StopIteration, csv.Error):  # an error in a record taken is in the cut file too
-            break
-    return b"".join(lines[:taken])
+    records, done = [], 0
+    for _ in csv.reader(fed()):
+        records.append(b"".join(lines[done:taken]))
+        done = taken
+    return records
 
 
-def assert_reads_like_the_cut_file(path, content, k, schema):
-    """load_csv and the row parser with rows=k read content as load_csv
-    reads it cut after k records: equal arrays and schema, or the same
-    exception with the schema untouched.  The columnar reader with k
-    agrees or gives up; returns whether it read the file, and then
-    load_csv reads it with the row parser failing."""
-    path.write_bytes(_first_records(content, k))
+def _expected_row(path, content, k, schema):
+    """What load_row(path, schema, k) must give for content: load_csv's
+    outcome on the file of the header and record k alone, with its error
+    naming row k and a byte that is not UTF-8 by its offset in content.
+    Past the last record, the out-of-range error naming the record count
+    replaces load_csv's "no data rows", as a header fault does not."""
+    records = _records(content)
+    if k + 1 >= len(records):
+        path.write_bytes(b"".join(records[:1]))
+        expected = _outcome(load_csv, str(path), schema)
+        if len(records) > 1 and expected[1] == f"{path}: no data rows":
+            expected = (DataError, f"row {k} out of range: file has {len(records) - 1} rows", schema.to_dict())
+        return expected
+    header, record = records[0], records[k + 1]
+    path.write_bytes(header + record)
     expected = _outcome(load_csv, str(path), schema)
+    if len(expected) == 3:
+        shift = len(b"".join(records[: k + 1])) - len(header)
+        message = expected[1].replace(f"{path}: row 0", f"{path}: row {k}")
+        message = re.sub(r"at offset (\d+)", lambda m: f"at offset {int(m[1]) + shift}", message)
+        expected = (expected[0], message, expected[2])
+    return expected
+
+
+def assert_row_reads_like_its_record_alone(path, content, k, schema):
+    """load_row(path, schema, k) on content gives _expected_row's
+    outcome, with the schema untouched on error.  Returns whether the
+    records before k were split by csv.reader, not by their line ends."""
+    expected = _expected_row(path, content, k, schema)
     path.write_bytes(content)
-    for read in (load_csv, data._load_rows):
-        assert _outcome(lambda p, s: read(p, s, rows=k), str(path), schema) == expected
-    untouched = schema.copy()
-    columnar = data._load_columns(str(path), untouched, k)
-    if columnar is None:
-        assert untouched == schema
-        return False
-    assert _contents(columnar) == expected
-    with mock.patch.object(data, "_load_rows", _no_row_parser):
-        assert _contents(load_csv(str(path), schema.copy(), rows=k)) == expected
-    return True
-
-
-def _no_row_parser(*args, **kwargs):
-    raise AssertionError("the row parser read the file")
+    split = mock.Mock(wraps=data._split_records)
+    with mock.patch.object(data, "_split_records", split):
+        assert _outcome(lambda p, s: load_row(p, s, k), str(path), schema) == expected
+    return split.called
 
 
 @pytest.mark.parametrize("block", [None, 3, 16], ids=["one block", "3-byte blocks", "16-byte blocks"])
-@given(content=csv_files(), schema=st.sampled_from([_schema_with_values, _categorical_schema]), k=st.integers(1, 8))
-def test_first_rows_read_like_the_file_cut_after_them(tmp_path_factory, block, content, schema, k):
-    path = tmp_path_factory.mktemp("first_rows") / "d.csv"
+@given(content=csv_files(), schema=st.sampled_from([_schema_with_values, _categorical_schema]), k=st.integers(0, 8))
+def test_a_row_reads_like_the_file_of_its_record_alone(tmp_path_factory, block, content, schema, k):
+    path = tmp_path_factory.mktemp("one_row") / "d.csv"
     with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
-        assert_reads_like_the_cut_file(path, content, k, schema())
+        assert_row_reads_like_its_record_alone(path, content, k, schema())
 
 
 def _numbered_rows(count, end="\n"):
@@ -567,7 +577,9 @@ def _numbered_rows(count, end="\n"):
 
 
 class TestFirstRows:
-    """load_csv(path, schema, rows=k) against load_csv of the file cut after k records."""
+    """load_row(path, schema, k) against load_csv of the file of the
+    header and record k alone: the records before k are found by their
+    line ends, or split by csv.reader after a quote or a lone CR."""
 
     @staticmethod
     def schema():
@@ -576,13 +588,17 @@ class TestFirstRows:
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
     def test_every_k_around_block_boundaries_stays_columnar(self, tmp_path, monkeypatch, end):
         # 6- or 8-byte reads plus the rest of the line: blocks of two rows, so
-        # every even k ends a block and every odd k cuts one
+        # record k starts a block for every even k and is inside one for odd k;
+        # the file reads columnar and load_row counts line ends only
         monkeypatch.setattr(data, "_BLOCK_BYTES", 6 if end == "\n" else 8)
         content = _numbered_rows(9, end)
-        for k in range(1, 12):
-            assert assert_reads_like_the_cut_file(tmp_path / "d.csv", content, k, self.schema())
-        assert load_csv(str(tmp_path / "d.csv"), self.schema(), rows=1).column("X1").tolist() == [0.0]
-        assert load_csv(str(tmp_path / "d.csv"), self.schema(), rows=100).row_count == 9
+        path = tmp_path / "d.csv"
+        for k in range(12):
+            assert not assert_row_reads_like_its_record_alone(path, content, k, self.schema())
+        assert assert_reads_like_the_row_parser(str(path), self.schema())
+        assert load_row(str(path), self.schema(), 8).column("X1").tolist() == [8.0]
+        with pytest.raises(DataError, match="^row 9 out of range: file has 9 rows$"):
+            load_row(str(path), self.schema(), 9)
 
     # lines that send a whole file to the row parser or fail it
     AFTER_ROW_K = {
@@ -596,35 +612,109 @@ class TestFirstRows:
         "not UTF-8": "3,\udcff",
     }
 
+    @staticmethod
+    def _with_line(line, end, at, count):
+        """_numbered_rows(count, end) with line as record `at`."""
+        rows = _numbered_rows(count, end).split(end.encode())
+        rows.insert(at + 1, line.encode("utf-8", "surrogateescape"))
+        return end.encode().join(rows)
+
     @pytest.mark.parametrize("block", [None, 6], ids=["one block", "6-byte blocks"])
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
     @pytest.mark.parametrize("line", AFTER_ROW_K.values(), ids=AFTER_ROW_K.keys())
     def test_a_bad_line_after_row_k_changes_nothing(self, tmp_path, monkeypatch, block, end, line):
         monkeypatch.setattr(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES)
+        for k in (0, 1, 2, 3):
+            content = self._with_line(line, end, k + 1, 5)
+            assert not assert_row_reads_like_its_record_alone(tmp_path / "d.csv", content, k, self.schema())
+            assert load_row(str(tmp_path / "d.csv"), self.schema(), k).column("X1").tolist() == [k]
+
+    @pytest.mark.parametrize("block", [None, 6], ids=["one block", "6-byte blocks"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("line", AFTER_ROW_K.values(), ids=AFTER_ROW_K.keys())
+    def test_a_bad_line_before_row_k_changes_nothing(self, tmp_path, monkeypatch, block, end, line):
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES)
+        path = tmp_path / "d.csv"
         for k in (1, 2, 3):
-            head = _numbered_rows(k, end)
-            content = head + (line + end).encode("utf-8", "surrogateescape") + head.split(end.encode(), 1)[1]
-            assert assert_reads_like_the_cut_file(tmp_path / "d.csv", content, k, self.schema())
+            for at in range(k):
+                content = self._with_line(line, end, at, 5)
+                split = assert_row_reads_like_its_record_alone(path, content, k, self.schema())
+                assert split == (line in ('3,"q"', "3,a\r4,b"))
+                # the lone CR line is the records 3,a and 4,b
+                x1 = k - 1 if "\r" not in line else 4 if k == at + 1 else k - 2
+                assert load_row(str(path), self.schema(), k).column("X1").tolist() == [x1]
 
     @pytest.mark.parametrize("line", AFTER_ROW_K.values(), ids=AFTER_ROW_K.keys())
     def test_the_row_parser_stops_at_row_k(self, tmp_path, line):
-        # the quoted first cell keeps the file off the columnar path
-        content = b'X1,U1\n"1",a\n2,b\n' + (line + "\n").encode("utf-8", "surrogateescape") + b"3,a\n"
+        # the quoted first cell sends the records to csv.reader, which splits them through row 2 only
+        content = b'X1,U1\n"1",a\n2,b\n3,c\n' + (line + "\n").encode("utf-8", "surrogateescape") + b"4,a\n"
         path = tmp_path / "d.csv"
-        assert not assert_reads_like_the_cut_file(path, content, 2, self.schema())
-        assert load_csv(str(path), self.schema(), rows=2).column("X1").tolist() == [1.0, 2.0]
+        assert assert_row_reads_like_its_record_alone(path, content, 2, self.schema())
+        assert load_row(str(path), self.schema(), 2).column("X1").tolist() == [3.0]
+
+    def test_a_nul_before_row_k_is_another_character(self, tmp_path):
+        # csv.reader refused NUL before Python 3.11; the split reads it on every version
+        path = tmp_path / "d.csv"
+        content = b'X1,U1\n"1",a\n2,b\x00\n3,c\n'
+        assert assert_row_reads_like_its_record_alone(path, content, 2, self.schema())
+        assert load_row(str(path), self.schema(), 2).column("X1").tolist() == [3.0]
+
+    def test_errors_in_row_k_name_it(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'X1,U1\n1,a\n"2",b\nabc,c\n3,\xff\n4\n')
+        expected = {
+            2: f"{path}: row 2, column 'X1': cannot parse 'abc' as a number",
+            3: f"{path}: not UTF-8: byte 0xff at offset 24 (invalid start byte)",
+            4: f"{path}: row 4: expected at least 2 fields, got 1",
+        }
+        for k, message in expected.items():
+            with pytest.raises(DataError) as exc:
+                load_row(str(path), self.schema(), k)
+            assert str(exc.value) == message
+
+    def test_a_record_csv_cannot_split_is_named(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", 'X1,U1\n"1",a\n2,bbbbbbbbbb\n3,c\n')
+        limit = csv.field_size_limit(8)
+        try:
+            with pytest.raises(DataError, match=r"d\.csv: row 1: field larger than field limit \(8\)$"):
+                load_row(path, self.schema(), 2)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_a_file_of_lone_crs_is_not_read_whole(self, tmp_path, monkeypatch):
+        # with no LF in the file, a binary readline would return all of it as one line
+        monkeypatch.setattr(data, "_BLOCK_BYTES", 4096)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"X1,U1\r" + b"".join(b"%d,v\r" % i for i in range(100_000)))
+        tracemalloc.start()
+        try:
+            got = load_row(str(path), self.schema(), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.column("X1").tolist() == [3.0]
+        assert peak < path.stat().st_size / 4
 
     def test_values_after_row_k_are_not_interned(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "X1,U1\n1,a\n2,b\n3,c\n")
         schema = self.schema()
-        load_csv(path, schema, rows=2)
-        assert schema.column("U1").values == ["a", "b"]
+        load_row(path, schema, 1)
+        assert schema.column("U1").values == ["b"]
 
-    @pytest.mark.parametrize("rows", [0, -1])
-    def test_fewer_than_one_row_is_a_data_error(self, tmp_path, rows):
+    @pytest.mark.parametrize("row", [-1, -5])
+    def test_a_negative_row_is_a_data_error(self, tmp_path, row):
         # refused before the file is opened: a missing file would be an OSError
-        with pytest.raises(DataError, match=f"rows must be at least 1, got {rows}"):
-            load_csv(str(tmp_path / "missing.csv"), self.schema(), rows=rows)
+        with pytest.raises(DataError, match=f"row must be at least 0, got {row}"):
+            load_row(str(tmp_path / "missing.csv"), self.schema(), row)
+
+    def test_a_header_only_file_has_no_data_rows(self, tmp_path):
+        for text in ("X1,U1\n", "X1,U1"):
+            with pytest.raises(DataError, match=r"d\.csv: no data rows$"):
+                load_row(write_text(tmp_path / "d.csv", text), self.schema(), 0)
+        with pytest.raises(DataError, match=r"d\.csv: empty file$"):
+            load_row(write_text(tmp_path / "d.csv", ""), self.schema(), 3)
+        with pytest.raises(DataError, match=r"d\.csv: header omits schema column 'U1'$"):
+            load_row(write_text(tmp_path / "d.csv", "X1\n1\n"), self.schema(), 3)
 
 
 @st.composite

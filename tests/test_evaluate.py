@@ -47,6 +47,21 @@ class TestLabeledScores:
         with pytest.raises(DataError, match="0 .*or 1"):
             labeled([1.0], [2])
 
+    def test_fractional_labels_are_refused_before_the_integer_cast(self):
+        # cast first, these labels would read [0, 1, 0] and the ranking would score AUC 1.0
+        with pytest.raises(DataError, match="labels must be 0 .*or 1"):
+            LabeledScores(np.array([0.7, 1.9, 0.0]), np.array([0.1, 0.9, 0.5]))
+        with pytest.raises(DataError, match="labels must be 0 .*or 1"):
+            labeled([0.7, 1.9], [np.nan, 1.0])
+        ls = LabeledScores(np.array([0.7, 1.9]), np.array([0.0, 1.0]))
+        assert ls.labels.dtype == np.int64 and ls.labels.tolist() == [0, 1]
+        assert LabeledScores(np.array([0.7, 1.9]), np.array([False, True])).labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_are_refused(self, bad):
+        with pytest.raises(DataError, match="scores must be finite"):
+            labeled([0.7, bad, 0.1], [1, 0, 0])
+
 
 class TestRocAuc:
     def test_perfect_separation(self):

@@ -1,14 +1,20 @@
 """End-to-end training behavior and the synthetic generators."""
 
 import hashlib
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from invarmine.data import CATEGORICAL, CONTINUOUS, Column, Dataset, Schema, load_csv, write_csv
+from invarmine import cli
+from invarmine.data import CATEGORICAL, CONTINUOUS, Column, DataError, Dataset, Schema, load_csv, write_csv
 from invarmine.detect import DetectionConfig, detect, score_dataset, write_reports
 from invarmine.evaluate import holdout_split
-from invarmine.mining import BOUNDARY, MiningConfig, save_ruleset
+from invarmine.mining import BOUNDARY, MiningConfig, MiningError, load_ruleset, save_ruleset
 from invarmine.pipeline import train_ruleset
 from invarmine.synth import X3_HIGH, planted_rule_data, random_mixed_dataset
 
@@ -181,33 +187,23 @@ class TestGeneratorCoding:
 
 
 class TestPinnedOutputs:
-    """SHA-256 of the rule file and the score report on two generated
-    cases.  The test table goes through write_csv and load_csv against the
-    rule file's schema, as `invarmine score` reads it.  A change meant to
-    alter outputs updates these digests and records old and new values."""
+    """SHA-256 of the rule file, the score report and `invarmine explain`'s
+    output on two generated cases.  The test table goes through write_csv
+    and load_csv against the rule file's schema, as `invarmine score` reads
+    it.  A change meant to alter outputs updates these digests and records
+    old and new values."""
 
-    @pytest.mark.parametrize(
-        "tables, theta, gamma, rules_digest, report_digest",
-        [
-            (
-                lambda: (planted_rule_data(2000, 7)[0], planted_rule_data(1000, 11, 0.05)[0]),
-                0.15,
-                0.3,
-                "1baca44141c80b62095684c288d8034893d16c8519cc04a89975b2b4d86f6c1e",
-                "1ff2f1d9a65a9a6387af294e7366dc060156136d2f6615aa8dd4279d14135324",
-            ),
-            # theta 0.05 mines rules beyond the boundary ones and flags rows of the held-out part
-            (
-                lambda: holdout_split(random_mixed_dataset(3000, 12, 8, 0)),
-                0.05,
-                0.0,
-                "991feaf88dd8ff4c3178ba49743a0e678310c18ddf3f0f892ceab8f074e3c6d1",
-                "602cb2a5282c43d20c088fdba2fe7a078c25a6d8a1ef941cc7db96ab2a005404",
-            ),
-        ],
-        ids=["planted", "random_mixed"],
-    )
-    def test_rule_file_and_report_keep_their_bytes(self, tmp_path, tables, theta, gamma, rules_digest, report_digest):
+    CASES = {
+        "planted": (lambda: (planted_rule_data(2000, 7)[0], planted_rule_data(1000, 11, 0.05)[0]), 0.15, 0.3),
+        # theta 0.05 mines rules beyond the boundary ones and flags rows of the held-out part
+        "random_mixed": (lambda: holdout_split(random_mixed_dataset(3000, 12, 8, 0)), 0.05, 0.0),
+    }
+
+    @classmethod
+    def built(cls, tmp_path, case):
+        """The case's rule file, test CSV and score report under tmp_path,
+        with the reports detect gave."""
+        tables, theta, gamma = cls.CASES[case]
         train, test = tables()
         ruleset = train_ruleset(train, MiningConfig(theta=theta, gamma=gamma)).ruleset
         rules, data, report = tmp_path / "rules.json", tmp_path / "test.csv", tmp_path / "report.txt"
@@ -215,5 +211,133 @@ class TestPinnedOutputs:
         write_csv(test, str(data))
         reports = detect(ruleset, load_csv(str(data), ruleset.schema.copy()), DetectionConfig())
         write_reports(reports, ruleset, str(report))
+        return rules, data, report, reports
+
+    @pytest.mark.parametrize(
+        "case, rules_digest, report_digest",
+        [
+            (
+                "planted",
+                "1baca44141c80b62095684c288d8034893d16c8519cc04a89975b2b4d86f6c1e",
+                "1ff2f1d9a65a9a6387af294e7366dc060156136d2f6615aa8dd4279d14135324",
+            ),
+            (
+                "random_mixed",
+                "991feaf88dd8ff4c3178ba49743a0e678310c18ddf3f0f892ceab8f074e3c6d1",
+                "602cb2a5282c43d20c088fdba2fe7a078c25a6d8a1ef941cc7db96ab2a005404",
+            ),
+        ],
+        ids=["planted", "random_mixed"],
+    )
+    def test_rule_file_and_report_keep_their_bytes(self, tmp_path, case, rules_digest, report_digest):
+        rules, _, report, _ = self.built(tmp_path, case)
         assert hashlib.sha256(rules.read_bytes()).hexdigest() == rules_digest
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+
+    @pytest.mark.parametrize(
+        "case, digests",
+        [
+            (
+                "planted",
+                {
+                    27: "69848d6687e57dc06929759eade8b3d2f4c599c25b89aa430bba4c5004bba253",
+                    527: "5019653393d208542fd9d07d7e16c92dc2d43efe3743db9dcdb2274e00ad3eb8",
+                    991: "d916f153b4f8b73f8dbafe80ca1732a35d76f111cda52cf777e6f30621bc4c0e",
+                },
+            ),
+            (
+                "random_mixed",
+                {
+                    17: "59104170e75b149ffd6eb9608787a6cd7f06577188822e6a995f86a5e013099c",
+                    240: "ea709bb7ef1627e06df66bbec82ff9f7e6dfbbdfcf7cf9daa6600ffda0965235",
+                    591: "988e9280198b948d42029df250d3ada3bb32661b4dee3b2f06784f930ea7c842",
+                },
+            ),
+        ],
+        ids=["planted", "random_mixed"],
+    )
+    def test_explain_keeps_its_bytes(self, tmp_path, capsys, case, digests):
+        """explain through the CLI on the first, a middle and the last flagged row."""
+        rules, data, _, reports = self.built(tmp_path, case)
+        flagged = [r.row for r in reports if r.is_anomaly]
+        got = {}
+        for row in (flagged[0], flagged[len(flagged) // 2], flagged[-1]):
+            assert cli.main(["explain", "--rules", str(rules), "--data", str(data), "--row", str(row)]) == 0
+            got[row] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert got == digests
+
+
+# Floats that have broken training before or sit at an edge of float64:
+# the extremes, signed zeros, neighbouring floats, integers where the
+# float spacing is 2, and small integers.
+ADVERSARIAL_FLOATS = [
+    sys.float_info.max,
+    -sys.float_info.max,
+    math.nextafter(sys.float_info.max, 0.0),
+    5e-324,
+    -5e-324,
+    0.0,
+    -0.0,
+    1.0,
+    math.nextafter(1.0, 2.0),
+    1.7e308,
+    math.nextafter(1.7e308, math.inf),
+    1e16,
+    1e16 + 2,
+    2.0,
+    3.0,
+    -1.0,
+]
+
+# csv.reader refused NUL before Python 3.11
+CATEGORY_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), min_size=1, max_size=4)
+
+
+@st.composite
+def adversarial_tables(draw):
+    """A schema of 0-3 continuous and 0-2 categorical columns (one at
+    least) and 2-40 rows: continuous cells from ADVERSARIAL_FLOATS,
+    categorical cells from a pool of 1-3 texts per column."""
+    n_rows = draw(st.integers(2, 40))
+    n_cont = draw(st.integers(0, 3))
+    n_cat = draw(st.integers(0 if n_cont else 1, 2))
+    columns = {}
+    for j in range(n_cont):
+        pool = draw(st.lists(st.sampled_from(ADVERSARIAL_FLOATS), min_size=1, max_size=4))
+        columns[f"X{j}"] = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    for j in range(n_cat):
+        pool = draw(st.lists(CATEGORY_TEXT, min_size=1, max_size=3, unique=True))
+        columns[f"U{j}"] = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+    return columns
+
+
+@given(
+    columns=adversarial_tables(),
+    theta=st.sampled_from([0.1, 0.25, 0.5]),
+    gamma=st.sampled_from([0.0, 0.3]),
+)
+def test_adversarial_floats_train_and_score_their_own_rows_clean(tmp_path_factory, columns, theta, gamma):
+    """write_csv, load_csv, train, a rule file round trip and scoring the
+    training rows, with warnings as errors: each run succeeds or raises
+    DataError or MiningError, the training rows score 0 and every rule
+    holds on every training row."""
+    schema = Schema([Column(name, CONTINUOUS if name.startswith("X") else CATEGORICAL, []) for name in columns])
+    directory = tmp_path_factory.mktemp("adversarial")
+    path, rules = str(directory / "train.csv"), str(directory / "rules.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            write_csv(Dataset.from_columns(schema, columns), path)
+            train = load_csv(path, schema.copy())
+            ruleset = train_ruleset(train, MiningConfig(theta=theta, gamma=gamma)).ruleset
+            save_ruleset(ruleset, rules)
+            scores = score_dataset(load_ruleset(rules), load_csv(path, ruleset.schema.copy()))
+        except (DataError, MiningError):
+            return
+    assert scores.tolist() == [0.0] * train.row_count
+    for rule in ruleset.rules:
+        held = np.ones(train.row_count, dtype=bool)
+        for p in rule.antecedent:
+            held &= p.mask(train)
+        for p in rule.consequent:
+            assert p.mask(train)[held].all(), ruleset.rule_text(rule)
