@@ -308,6 +308,12 @@ def load_csv(path: str, schema: Schema) -> Dataset:
 # largest buffer freed so far from the heap instead of a fresh mapping.
 _BLOCK_BYTES = 1 << 18
 
+# The longest line the columnar reader reads: a longer one, or a file
+# whose lines end in CR alone, goes to the row parser after at most this
+# many bytes.  It is not _BLOCK_BYTES, so that blocks far shorter than a
+# line still read a file column by column.
+_LINE_BYTES = 1 << 18
+
 # Bytes that make the columnar reader give up: a quote starts csv quoting;
 # NUL is dropped from the end of numpy byte strings; \x1c-\x1f are
 # whitespace to loadtxt but not to float() in an ASCII cell.  A CR is
@@ -453,8 +459,10 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
     the file exactly as _load_rows does; None leaves the schema untouched.
 
     The file is read in blocks of about _BLOCK_BYTES that end on a line
-    boundary.  Cells are located from the comma and newline offsets and
-    each column's block of cells is coded by text (_distinct).  A
+    boundary.  A line longer than _LINE_BYTES (every line of a file whose
+    lines end in CR alone, say) gives None after at most that many bytes.
+    Cells are located from the comma and newline offsets and each
+    column's block of cells is coded by text (_distinct).  A
     categorical column ranks its texts by first appearance (_first_seen);
     the schema interns them only after the last block has passed.  A
     continuous column calls float() once per distinct text and gathers
@@ -464,7 +472,7 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
     hold empty cells.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
+        line = fh.readline(_LINE_BYTES)
         if not line.endswith(b"\n") or not _plain(line):
             return None
         header = line.decode("utf-8").removesuffix("\n").removesuffix("\r")
@@ -482,7 +490,10 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
         seen: dict[str, dict[bytes, int]] = {n: {} for n in cat}
         taken = 0
         while block := fh.read(_BLOCK_BYTES):
-            block += fh.readline()
+            tail = fh.readline(_LINE_BYTES)
+            if len(tail) == _LINE_BYTES and not tail.endswith(b"\n"):
+                return None
+            block += tail
             if not block.endswith(b"\n"):
                 block += b"\n"
             cells = _cells(np.frombuffer(block, dtype=np.uint8), width, used) if _plain(block) else None

@@ -18,14 +18,15 @@ predicate; comparisons against theta are strict.
 What each predicate kind accepts is defined once, by its compiled form
 (_atoms): an OR of atoms lo <= value <= hi on one column.  Row masks
 (CompiledPredicates.mask, behind every predicate's mask()) and the
-one-row scorer (CompiledRules.broken) both evaluate those atoms.
+one-row scorer (CompiledRules.score, generated by _scorer) both evaluate
+those atoms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -240,16 +241,6 @@ class CompiledPredicates:
         return out
 
 
-def _values_at(columns: tuple[str, ...], values) -> tuple:
-    return tuple(values[c] for c in columns)
-
-
-def _getter(columns: tuple[str, ...]):
-    """A picklable function from a mapping to the tuple of its values at
-    columns (itemgetter gives a bare value for one column)."""
-    return itemgetter(*columns) if len(columns) > 1 else partial(_values_at, columns)
-
-
 class CompiledRules:
     """Rules compiled for scoring.
 
@@ -261,6 +252,10 @@ class CompiledRules:
     ``index[start[2r + 1]:start[2r + 2]]``, and its support ``supports[r]``.
     Rules are anything with antecedent, consequent and support
     attributes (mining.InvariantRule).
+
+    ``score`` scores one row with Python code generated from these arrays
+    on first use (_scorer); it is left out of the pickled state and a copy
+    builds its own.
     """
 
     def __init__(self, rules):
@@ -274,34 +269,67 @@ class CompiledRules:
         segments = [s or [self.always] for s in segments]
         self.start = np.cumsum([0] + [len(s) for s in segments], dtype=np.intp)
         self.index = np.array([i for s in segments for i in s], dtype=np.intp)
-        self._segments = self.start[:-1]
-        self.predicates = compiled = CompiledPredicates(ids)
+        self.predicates = CompiledPredicates(ids)
         self.supports = tuple(float(r.support) for r in rules)
-        # For one row: its values in atom order, then a constant 0 that one
-        # more atom, [-inf, inf], accepts: the always-holding predicate.
-        atoms = len(compiled.lo)
-        self._values = _getter(tuple(compiled.columns[k] for k in compiled.slot.tolist()))
-        self._lo = np.append(compiled.lo, -math.inf)
-        self._hi = np.append(compiled.hi, math.inf)
-        # with one atom per predicate, the atoms' verdicts are the predicates'
-        self._first_atom = None if atoms == self.always else np.append(compiled.start[:-1], atoms)
 
-    def held(self, values) -> np.ndarray:
-        """Which predicates hold on one row, given as a mapping from column
-        name to value (KeyError names a missing column), in one vector
-        comparison over every atom; the last entry is ``always``."""
-        row = np.array(self._values(values) + (0.0,), dtype=np.float64)
-        hit = np.less_equal(self._lo, row)
-        hit &= row <= self._hi
-        if self._first_atom is None:
-            return hit
-        return np.logical_or.reduceat(hit, self._first_atom)
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("score", None)
+        return state
 
-    def broken(self, values) -> np.ndarray:
-        """Which rules one row breaks: every antecedent predicate holds and
-        some consequent predicate fails.  values is as for held."""
-        both = np.logical_and.reduceat(self.held(values)[self.index], self._segments)
-        return np.greater(both[0::2], both[1::2])
+    @cached_property
+    def score(self):
+        """The anomaly score of one row, given as a mapping from column name
+        to value: the supports of the rules it breaks, added in rule-id
+        order from 0.0.  A column the rules read that the mapping lacks
+        raises KeyError, and a value that is not a real number TypeError."""
+        return _scorer(self)
+
+
+def _scorer(compiled: CompiledRules):
+    """compiled's rules as one straight-line Python function of a row.
+
+    The row's values at the columns the rules read become locals x0..xk.
+    Predicate i is computed once, as p<i> = L<a> <= x<s> <= H<a> or ...
+    over its atoms a, and rule r adds S<r> to the score when its
+    antecedent's p's hold and not all of its consequent's do, rules in id
+    order.  An atom accepts what CompiledPredicates.mask accepts (NaN
+    fails it, -0.0 equals 0.0 and an int code compares exactly), and the
+    supports are added as score_dataset adds them, so both paths give
+    the same float.  The source holds integer indices and fixed names
+    only: every bound, support and column name is bound through the
+    function's namespace, so no text from a rule file becomes code.
+    """
+    predicates = compiled.predicates
+    slot, start = predicates.slot.tolist(), predicates.start.tolist()
+    namespace = {"get": itemgetter(*predicates.columns)} if predicates.columns else {}
+    namespace.update((f"L{k}", v) for k, v in enumerate(predicates.lo.tolist()))
+    namespace.update((f"H{k}", v) for k, v in enumerate(predicates.hi.tolist()))
+    namespace.update((f"S{r}", v) for r, v in enumerate(compiled.supports))
+    lines = ["def score(values):"]
+    if len(predicates.columns) > 1:
+        lines.append("    " + ", ".join(f"x{s}" for s in range(len(predicates.columns))) + " = get(values)")
+    elif predicates.columns:
+        lines.append("    x0 = get(values)")
+    for i in range(len(predicates.predicates)):
+        atoms = range(start[i], start[i + 1])
+        lines.append(f"    p{i} = " + " or ".join(f"L{k} <= x{slot[k]} <= H{k}" for k in atoms))
+    # a predicate's first atom compares its column's value on every call; any
+    # other column is compared here, so that a value that is not a number
+    # always raises TypeError
+    for s in sorted(set(slot) - {slot[k] for k in start[:-1]}):
+        lines.append(f"    x{s} <= 0.0")
+    lines.append("    s = 0.0")
+    bounds, index = compiled.start.tolist(), compiled.index.tolist()
+    for r in range(len(compiled.supports)):
+        antecedent = [i for i in index[bounds[2 * r] : bounds[2 * r + 1]] if i != compiled.always]
+        consequent = index[bounds[2 * r + 1] : bounds[2 * r + 2]]
+        held = "".join(f"p{i} and " for i in antecedent)
+        lines.append(f"    if {held}not ({' and '.join(f'p{i}' for i in consequent)}):")
+        lines.append(f"        s += S{r}")
+    lines.append("    return s")
+    exec(compile("\n".join(lines) + "\n", "<rule scorer>", "exec"), namespace)
+    return namespace["score"]
 
 
 class PredicateCatalog:

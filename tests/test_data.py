@@ -780,6 +780,26 @@ def test_columnar_peak_memory_is_at_most_the_row_parsers(tmp_path):
     assert peaks[1] <= peaks[0]
 
 
+@pytest.mark.parametrize("header_end", [b"\r", b"\n"], ids=["CR header", "LF header"])
+def test_the_columnar_reader_does_not_read_a_file_of_lone_crs_whole(tmp_path, monkeypatch, header_end):
+    # with no LF after the header, a binary readline would return the rest of the file as one line
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 4096)
+    monkeypatch.setattr(data, "_LINE_BYTES", 4096)
+    path = tmp_path / "d.csv"
+    pad = b"p" * 1000  # a column the schema does not read: a big file of few values
+    path.write_bytes(b"X1,U1,pad" + header_end + b"".join(b"%d,v,%s\r" % (i, pad) for i in range(2000)))
+    schema = make_schema(cont=("X1",), cat=("U1",))
+    assert data._load_columns(str(path), schema) is None
+    tracemalloc.start()
+    try:
+        got = load_csv(str(path), schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.column("X1").tolist() == [float(i) for i in range(2000)]
+    assert peak < path.stat().st_size / 4
+
+
 # every character csv.writer quotes, and some it writes as they are
 WRITER_CHARS = [",", '"', "\r", "\n", " ", "\t", "a", "Z", "1", "\u00e9", "\u65e5", "\U0001f600"]
 WRITER_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 0.1, -2.5, 1 / 3, 1e300, 123456789.0]

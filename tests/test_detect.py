@@ -4,11 +4,16 @@ import dataclasses
 import importlib
 import json
 import pickle
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from invarmine import cli
+from invarmine import predicates as predicates_module
 from invarmine.data import (
+    CATEGORICAL,
     CONTINUOUS,
     Column,
     ColumnStats,
@@ -30,9 +35,16 @@ from invarmine.detect import (
     score_point,
     write_reports,
 )
-from invarmine.mining import BOUNDARY, MINED, InvariantRule, MiningConfig, RuleSet
+from invarmine.mining import BOUNDARY, MINED, InvariantRule, MiningConfig, RuleSet, load_ruleset, save_ruleset
 from invarmine.pipeline import train_ruleset
-from invarmine.predicates import Interval, Membership, PredicateCatalog, Range
+from invarmine.predicates import (
+    CategoricalDisjunction,
+    CategoricalEquals,
+    Interval,
+    Membership,
+    PredicateCatalog,
+    Range,
+)
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
 from helpers import make_dataset, make_schema
@@ -299,6 +311,139 @@ class TestPointInputs:
         ruleset = hand_ruleset(make_schema(cont=("X",)), [])
         assert score_point(ruleset, DataPoint({})) == 0.0
         assert score_dataset(ruleset, x_dataset([1.0, 99.0])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("value", [None, "abc", "1.5", [1.0]])
+    def test_a_value_that_is_not_a_number_is_a_data_error(self, value):
+        message = f"column 'Y' holds {re.escape(repr(value))}, not a number"
+        with pytest.raises(DataError, match=message):
+            score_point(self.xy_rules(), DataPoint({"X": 5.0, "Y": value}))
+
+    def test_a_column_read_past_a_predicates_first_atom_is_checked(self):
+        # U = a holds the disjunction before its V atom is reached
+        schema = Schema([Column("U", CATEGORICAL, ["a", "b"]), Column("V", CATEGORICAL, ["a", "b"])])
+        either = CategoricalDisjunction((("U", 0), ("V", 0)))
+        ruleset = hand_ruleset(schema, [InvariantRule((), (either,), 1.0, BOUNDARY)])
+        assert score_point(ruleset, DataPoint({"U": 0, "V": 1})) == 0.0
+        with pytest.raises(DataError, match="column 'V' holds None, not a number"):
+            score_point(ruleset, DataPoint({"U": 0, "V": None}))
+
+
+# Column names and categorical values that are Python source, quotes,
+# newlines, keywords, names the generated scorer uses, or not ASCII
+HOSTILE_TEXTS = [
+    "__import__('sys').modules.__setitem__('pwned', 1)",
+    "x0",
+    "p0) or (1",
+    "S0",
+    "get",
+    "values",
+    "'''",
+    '"\n    return 1.0\n#',
+    "def",
+    "None",
+    "\u00e9 \u65e5 \U0001f600",
+]
+
+
+class TestGeneratedScorer:
+    """score_point runs Python generated from the rules: what the source can
+    hold, how far it scales, and which calls build it."""
+
+    @staticmethod
+    def hostile_ruleset(tmp_path):
+        """A rule file, saved and loaded, whose column names and values are
+        HOSTILE_TEXTS, with a table of rows that break some of its rules."""
+        cont, cat = HOSTILE_TEXTS[:5], HOSTILE_TEXTS[5:]
+        schema = Schema([Column(c, CONTINUOUS, []) for c in cont] + [Column(c, CATEGORICAL, list(HOSTILE_TEXTS)) for c in cat])
+        rng = np.random.default_rng(7)
+        columns = {c: rng.integers(-3, 4, 200).astype(float).tolist() for c in cont}
+        columns.update({c: rng.choice(HOSTILE_TEXTS, 200).tolist() for c in cat})
+        dataset = Dataset.from_columns(schema, columns)
+        rules = []
+        for j, c in enumerate(cont):
+            rules.append(InvariantRule((), (Range(c, -2.0, 2.0),), 1.0, BOUNDARY))
+            rules.append(InvariantRule((Interval(c, 0.0, INF),), (Interval(cont[j - 1], -INF, 1.0),), 0.25))
+        for j, c in enumerate(cat):
+            rules.append(InvariantRule((), (Membership(c, frozenset(range(0, 11, 2))),), 1.0, BOUNDARY))
+            either = CategoricalDisjunction(((cat[j - 1], 1), (c, 3), (c, 4)))
+            rules.append(InvariantRule((CategoricalEquals(c, 5), Range(cont[j % 5], -1.0, 1.0)), (either,), 0.125))
+        path = str(tmp_path / "rules.json")
+        save_ruleset(hand_ruleset(schema, rules), path)
+        ruleset = load_ruleset(path)
+        return ruleset, Dataset.from_columns(ruleset.schema.copy(), columns)
+
+    def test_names_and_values_are_never_source(self, tmp_path):
+        ruleset, dataset = self.hostile_ruleset(tmp_path)
+        scores = score_dataset(ruleset, dataset)
+        assert 0 < np.count_nonzero(scores) < dataset.row_count
+        assert len(set(scores.tolist())) > 3
+        for i in range(dataset.row_count):
+            point = dataset.row(i)
+            assert score_point(ruleset, point) == scores[i] == score_by_row(ruleset, point)
+        assert "pwned" not in sys.modules
+
+    def test_five_thousand_rules_agree_row_by_row(self):
+        rng = np.random.default_rng(11)
+        values = [f"v{k}" for k in range(60)]
+        schema = Schema([Column("X", CONTINUOUS, []), Column("U", CATEGORICAL, values), Column("V", CATEGORICAL, values)])
+        n = 60
+        dataset = Dataset(
+            schema,
+            {
+                "X": rng.integers(0, 10, n).astype(np.float64),
+                "U": rng.integers(0, 60, n),
+                "V": rng.integers(0, 60, n),
+            },
+        )
+        pool = []
+        for _ in range(300):
+            # about 30 of 60 codes, drawn at random: some 15 runs of consecutive codes
+            pool.append(Membership(str(rng.choice(["U", "V"])), frozenset(rng.choice(60, 30, replace=False).tolist())))
+            cut = float(rng.integers(1, 10))
+            pool.append(Interval("X", -INF, cut) if rng.random() < 0.5 else Interval("X", cut, INF))
+        pool = list(dict.fromkeys(pool))
+        rules = []
+        for _ in range(5000):
+            picked = rng.choice(len(pool), int(rng.integers(1, 5)), replace=False).tolist()
+            split = int(rng.integers(0, len(picked)))
+            rules.append(
+                InvariantRule(
+                    tuple(pool[k] for k in picked[:split]),
+                    tuple(pool[k] for k in picked[split:]),
+                    float(rng.integers(1, 1000)) / 1000,
+                )
+            )
+        ruleset = hand_ruleset(schema, rules)
+        scores = score_dataset(ruleset, dataset)
+        assert len(set(scores.tolist())) > n // 2
+        for i in range(n):
+            assert score_point(ruleset, dataset.row(i)) == scores[i]
+        assert score_point(ruleset, dataset.row(0)) == score_by_row(ruleset, dataset.row(0))
+
+    def test_only_score_point_builds_the_scorer(self, tmp_path, monkeypatch):
+        train, _ = planted_rule_data(300, seed=5)
+        test, _ = planted_rule_data(300, seed=6, violation_rate=0.05)
+        rules, data, out = str(tmp_path / "rules.json"), str(tmp_path / "test.csv"), str(tmp_path / "r.jsonl")
+        save_ruleset(train_ruleset(train, MiningConfig(theta=0.15, gamma=0.3)).ruleset, rules)
+        write_csv(test, data)
+        ruleset = load_ruleset(rules)
+        dataset = load_csv(data, ruleset.schema.copy())
+
+        def refuse(compiled):
+            raise AssertionError("the scorer was built")
+
+        monkeypatch.setattr(predicates_module, "_scorer", refuse)
+        scores = score_dataset(ruleset, dataset)
+        reports = detect(ruleset, dataset, DetectionConfig())
+        flagged = int(np.flatnonzero(scores)[0])
+        explain(reports[flagged], ruleset)
+        write_reports(reports, ruleset, out)
+        assert cli.main(["score", "--rules", rules, "--data", data, "--out", out]) == 1
+        assert cli.main(["explain", "--rules", rules, "--data", data, "--row", str(flagged)]) == 0
+        assert "score" not in vars(ruleset.compiled)
+        monkeypatch.undo()
+        assert score_point(ruleset, dataset.row(flagged)) == scores[flagged]
+        assert "score" in vars(ruleset.compiled)
 
 
 class TestDetectReports:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from invarmine import cli
 from invarmine.data import CATEGORICAL, CONTINUOUS, Column, DataError, Dataset, Schema, load_csv, write_csv
-from invarmine.detect import DetectionConfig, detect, score_dataset, write_reports
+from invarmine.detect import DetectionConfig, detect, score_dataset, score_point, write_reports
 from invarmine.evaluate import holdout_split
 from invarmine.mining import BOUNDARY, MiningConfig, MiningError, load_ruleset, save_ruleset
 from invarmine.pipeline import train_ruleset
@@ -319,8 +319,8 @@ def adversarial_tables(draw):
 def test_adversarial_floats_train_and_score_their_own_rows_clean(tmp_path_factory, columns, theta, gamma):
     """write_csv, load_csv, train, a rule file round trip and scoring the
     training rows, with warnings as errors: each run succeeds or raises
-    DataError or MiningError, the training rows score 0 and every rule
-    holds on every training row."""
+    DataError or MiningError, the training rows score 0, by score_dataset
+    and by score_point, and every rule holds on every training row."""
     schema = Schema([Column(name, CONTINUOUS if name.startswith("X") else CATEGORICAL, []) for name in columns])
     directory = tmp_path_factory.mktemp("adversarial")
     path, rules = str(directory / "train.csv"), str(directory / "rules.json")
@@ -331,10 +331,14 @@ def test_adversarial_floats_train_and_score_their_own_rows_clean(tmp_path_factor
             train = load_csv(path, schema.copy())
             ruleset = train_ruleset(train, MiningConfig(theta=theta, gamma=gamma)).ruleset
             save_ruleset(ruleset, rules)
-            scores = score_dataset(load_ruleset(rules), load_csv(path, ruleset.schema.copy()))
+            loaded = load_ruleset(rules)
+            rows = load_csv(path, loaded.schema.copy())
+            scores = score_dataset(loaded, rows)
         except (DataError, MiningError):
             return
+        points = [score_point(loaded, rows.row(i)) for i in range(rows.row_count)]
     assert scores.tolist() == [0.0] * train.row_count
+    assert points == [0.0] * train.row_count
     for rule in ruleset.rules:
         held = np.ones(train.row_count, dtype=bool)
         for p in rule.antecedent:
