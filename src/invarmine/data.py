@@ -10,14 +10,16 @@ never match predicates built from training codes.
 load_csv has two readers that give the same arrays, schema and errors.
 The columnar reader takes the file in blocks of 256 KiB and codes each
 column's cells by their text, one integer sort per column and block
-(dictionary decoding, as in column stores).  Categorical columns rank
-the distinct texts by first appearance; continuous columns call float()
+(dictionary decoding, as in column stores); only cells longer than 8
+bytes pay for their further bytes.  Categorical columns rank the
+distinct texts by first appearance; continuous columns call float()
 once per distinct text, except that a block whose texts are mostly
-distinct is parsed by np.loadtxt.  It reads only what it can show it
-reads exactly as csv.reader and float() do (unquoted UTF-8 without
-stray control characters) and otherwise hands the file to the row
-parser, which is the only one that raises DataError.  Neither changes
-the schema unless every row loads.
+distinct is parsed by np.loadtxt, which then takes that column's later
+blocks directly.  It reads only what it can show it reads exactly as
+csv.reader and float() do (unquoted UTF-8 without stray control
+characters) and otherwise hands the file to the row parser, which is
+the only one that raises DataError.  Neither changes the schema unless
+every row loads.
 
 load_row reads one record: the header, the line ends before the record
 (or csv.reader's split of the earlier records when those hold a quote, a
@@ -30,11 +32,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -295,10 +300,14 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     the row parser would reject is read column by column, unless a
     continuous column's block of mostly distinct texts holds a number
     np.loadtxt refuses (1_0, a non-ASCII digit or space); any other file
-    goes through the row parser, with the same result or error.
+    goes through the row parser, with the same result or error, and a
+    DEBUG record on logger invarmine.data names it.
     """
     dataset = _load_columns(path, schema)
-    return dataset if dataset is not None else _load_rows(path, schema)
+    if dataset is None:
+        _log.debug("%s: read by the row parser", path)
+        return _load_rows(path, schema)
+    return dataset
 
 
 # The columnar reader's unit of work: a block is this many bytes plus the
@@ -400,27 +409,37 @@ def _distinct(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tup
     them.  None when two different texts share a key.
 
     A cell's key is its first 8-byte word (words is _words(block)),
-    masked to the cell's bytes, into which each further word is mixed by
-    an odd multiply, a shift and an xor.  The zero bytes of the mask
-    cannot make two texts equal, since a plain block holds no NUL, so
-    cells of at most 8 bytes are keyed by their text.  One sort groups
-    equal keys, and when a cell is longer every word of every cell is
-    compared with its group's first cell, so equal codes mean equal
+    masked to the cell's bytes.  The zero bytes of the mask cannot make
+    two texts equal, since a plain block holds no NUL, so cells of at
+    most 8 bytes are keyed by their text.  Only the cells longer than 8
+    bytes read further words: each is mixed into the key by an odd
+    multiply, a shift and an xor, so the cost follows the long cells,
+    not the block's widest one.  One sort groups equal keys.  When a
+    cell is long, every cell's length and every word of every long cell
+    are compared with its group's first cell, so equal codes mean equal
     texts."""
-    masked = []
-    for j in range(0, int(lengths.max()), 8):
-        at = np.minimum(starts + j, len(words) - 1)
-        masked.append(words[at] & _MASKS[np.clip(lengths - j, 0, 8)])
-    key = masked[0]
+    key = words[starts] & _MASKS[np.minimum(lengths, 8)]
+    long = np.flatnonzero(lengths > 8)
+    if not len(long):
+        return _dedupe(key)
+    at, rest = starts[long], lengths[long]
+    masked = [key[long]]
+    for j in range(8, int(rest.max()), 8):
+        masked.append(words[np.minimum(at + j, len(words) - 1)] & _MASKS[np.clip(rest - j, 0, 8)])
+    mixed = masked[0]
     for word in masked[1:]:
-        key = key * _MIX
-        key ^= key >> 29  # the multiply carries low bits up only
-        key ^= word
+        mixed = mixed * _MIX
+        mixed ^= mixed >> 29  # the multiply carries low bits up only
+        mixed ^= word
+    key[long] = mixed
     first, code = _dedupe(key)
-    if len(masked) > 1:
-        head = first[code]
-        if not all(np.array_equal(word[head], word) for word in masked):
-            return None
+    head = first[code]
+    # a short cell never shares a group with a long one, so a long cell's head is long too
+    if not np.array_equal(lengths[head], lengths):
+        return None
+    among = np.searchsorted(long, head[long])  # each long cell's head among the long cells
+    if not all(np.array_equal(word[among], word) for word in masked):
+        return None
     return first, code
 
 
@@ -454,6 +473,29 @@ def _numbers(block: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return values if np.isfinite(values).all() else None
 
 
+def _loadtxt(block: bytes, usecols: list[int]) -> np.ndarray | None:
+    """The block's cells at usecols parsed by one np.loadtxt call, a
+    (lines, len(usecols)) array; None when loadtxt refuses a cell or a
+    value is not finite."""
+    # latin-1 makes each byte one character: an ASCII cell reads as in
+    # UTF-8, and any other cell holds a UTF-8 lead byte that latin-1
+    # makes a letter, which loadtxt rejects
+    try:
+        values = np.loadtxt(
+            io.BytesIO(block),
+            dtype=np.float64,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            usecols=usecols,
+            ndmin=2,
+            encoding="latin-1",
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _load_columns(path: str, schema: Schema) -> Dataset | None:
     """load_csv's columnar path, or None when it cannot show that it reads
     the file exactly as _load_rows does; None leaves the schema untouched.
@@ -468,8 +510,13 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
     continuous column calls float() once per distinct text and gathers
     the values by code, unless its block holds more than one distinct
     text per _DISTINCT_SHARE cells: such columns are parsed by one
-    np.loadtxt call per block.  A column the schema does not read may
-    hold empty cells.
+    np.loadtxt call per block (_loadtxt).  A column np.loadtxt took is
+    remembered and goes straight to it in later blocks, without
+    _distinct; when that call refuses a cell or gives a value that is
+    not finite, the block's columns are decided as if none were
+    remembered.  np.loadtxt reads no cell that float() refuses, and both
+    round correctly, so either way the values are float()'s.  A column
+    the schema does not read may hold empty cells.
     """
     with open(path, "rb") as fh:
         line = fh.readline(_LINE_BYTES)
@@ -488,6 +535,7 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
         used = [position[n] for n in schema.names]
         parts: dict[str, list[np.ndarray]] = {n: [] for n in schema.names}
         seen: dict[str, dict[bytes, int]] = {n: {} for n in cat}
+        remembered: list[str] = []  # continuous columns np.loadtxt took in an earlier block
         taken = 0
         while block := fh.read(_BLOCK_BYTES):
             tail = fh.readline(_LINE_BYTES)
@@ -502,8 +550,17 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
             starts, lengths = cells
             taken += len(starts)
             words = _words(block)
+            if remembered:
+                values = _loadtxt(block, [position[n] for n in remembered])
+                if values is None:  # this block's columns are decided as if none were remembered
+                    remembered = []
+                else:
+                    for name, column in zip(remembered, values.T):
+                        parts[name].append(column.copy())
             by_loadtxt = []
             for name in cont:
+                if name in remembered:
+                    continue
                 pos = position[name]
                 found = _distinct(words, starts[:, pos], lengths[:, pos])
                 if found is None:
@@ -517,26 +574,12 @@ def _load_columns(path: str, schema: Schema) -> Dataset | None:
                     return None
                 parts[name].append(values[code])
             if by_loadtxt:
-                # latin-1 makes each byte one character: an ASCII cell reads
-                # as in UTF-8, and any other cell holds a UTF-8 lead byte that
-                # latin-1 makes a letter, which loadtxt rejects
-                try:
-                    values = np.loadtxt(
-                        io.BytesIO(block),
-                        dtype=np.float64,
-                        delimiter=",",
-                        comments=None,
-                        quotechar=None,
-                        usecols=[position[n] for n in by_loadtxt],
-                        ndmin=2,
-                        encoding="latin-1",
-                    )
-                except ValueError:
-                    return None
-                if not np.isfinite(values).all():
+                values = _loadtxt(block, [position[n] for n in by_loadtxt])
+                if values is None:
                     return None
                 for name, column in zip(by_loadtxt, values.T):
                     parts[name].append(column.copy())
+                remembered += by_loadtxt
             for name in cat:
                 pos = position[name]
                 codes = _first_seen(block, words, starts[:, pos], lengths[:, pos], seen[name])

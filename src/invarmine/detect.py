@@ -377,11 +377,13 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
     lines differ only in their row number, so each run of rows with as
     many digits is one template tiled and digit-filled (_clean_lines).
     A violated row's line is its row number and a tail rendered once per
-    distinct (score, violation ids) in the block; it takes the place of
-    the row's clean line, which is skipped by its offset.
+    distinct (score, violation ids) in the block, the ids keyed by their
+    bytes; it takes the place of the row's clean line, which is skipped
+    by its offset.
     """
-    scores, phi, hit = reports.scores, reports.phi, reports.hit
-    starts, ids = reports.starts.tolist(), reports.ids.tolist()
+    scores, phi, hit, ids = reports.scores, reports.phi, reports.hit, reports.ids
+    # row j's run of violation ids is runs[bounds[j]:bounds[j + 1]]
+    runs, bounds = ids.tobytes(), (reports.starts * ids.itemsize).tolist()
     schema = ruleset.schema
     fragments = [  # one JSON object per distinct RuleViolation, by violation id
         json.dumps(
@@ -394,13 +396,13 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
         )
         for v in reports.violations
     ]
-    tails: dict[tuple[float, tuple[int, ...]], bytes] = {}  # emptied per block to bound it
+    tails: dict[tuple[float, bytes], bytes] = {}  # by score and run bytes; emptied per block to bound it
 
-    def tail(score: float, run: tuple[int, ...]) -> bytes:
+    def tail(score: float, run: bytes) -> bytes:
         # a score is a finite float, and json.dumps spells one as its repr; json.dumps escapes to ASCII
         rendered = tails[score, run] = (
             f'"score": {score!r}, "is_anomaly": {"true" if score > phi else "false"}, '
-            f'"violations": [{", ".join([fragments[k] for k in run])}]}}\n'
+            f'"violations": [{", ".join([fragments[k] for k in np.frombuffer(run, dtype=ids.dtype).tolist()])}]}}\n'
         ).encode()
         return rendered
 
@@ -418,7 +420,7 @@ def write_reports(reports: Reports, ruleset: RuleSet, path: str) -> None:
                 lo, hi = np.searchsorted(hit, (first, last)).tolist()
                 at = 0
                 for j, i, score in zip(range(lo, hi), hit[lo:hi].tolist(), scores[hit[lo:hi]].tolist()):
-                    run = tuple(ids[starts[j] : starts[j + 1]])
+                    run = runs[bounds[j] : bounds[j + 1]]
                     offset = (i - first) * width
                     pieces += (lines[at:offset], b'{"row": %d, ' % i, tails.get((score, run)) or tail(score, run))
                     at = offset + width

@@ -116,12 +116,14 @@ def random_predicates(dataset, rng, max_preds=12):
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCH = SCRIPTS.parent / "bench"
 
 
-def load_script(name):
-    """scripts/{name}.py as a module, imported without running its main."""
+def load_script(name, directory=SCRIPTS):
+    """{directory}/{name}.py (scripts/ by default) as a module, imported
+    without running its main; the file is only read."""
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module  # dataclasses look their module up here
         spec.loader.exec_module(module)

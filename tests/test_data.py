@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import logging
 import re
 import tracemalloc
 from unittest import mock
@@ -434,12 +435,17 @@ def test_loader_case_reads_like_the_row_parser(tmp_path, content, columnar, sche
 
 @pytest.mark.parametrize(
     "rows",
-    [("1.234567890,a,2,b", "2.234567890,a,2,b"), ("1,aaaaaaaaZ,2,b", "1,bbbbbbbbZ,2,b")],
-    ids=["continuous", "categorical"],
+    [
+        ("1.234567890,a,2,b", "2.234567890,a,2,b"),
+        ("1,aaaaaaaaZ,2,b", "1,bbbbbbbbZ,2,b"),
+        ("1,Z,2,b", "1,aaaaaaaaZ,2,b"),
+    ],
+    ids=["continuous", "categorical", "a short and a long cell"],
 )
 def test_a_key_clash_sends_the_file_to_the_row_parser(tmp_path, rows):
     # with no multiply a multi-word cell's key is its last word: these
-    # cells differ in their first 8 bytes only, so they share a key
+    # cells differ in their first 8 bytes only, or the long one's last
+    # word is the short one's text, so they share a key
     path = tmp_path / "d.csv"
     path.write_bytes(_repeated(*rows))
     assert assert_reads_like_the_row_parser(str(path), _schema_with_values())
@@ -460,6 +466,103 @@ def test_values_first_seen_in_a_later_block(tmp_path):
     for block in (1, 7, 64, 1 << 20):
         with mock.patch.object(data, "_BLOCK_BYTES", block):
             assert assert_reads_like_the_row_parser(str(path), _schema_with_values())
+
+
+def _blocks_of(path, block, schema):
+    """The (lines, width) cell lengths of each block the columnar reader
+    cuts from path with _BLOCK_BYTES = block."""
+    lengths = []
+    cells = data._cells
+
+    def spy(buf, width, used):
+        found = cells(buf, width, used)
+        lengths.append(found[1])
+        return found
+
+    with mock.patch.object(data, "_BLOCK_BYTES", block), mock.patch.object(data, "_cells", spy):
+        data._load_columns(str(path), schema)
+    return lengths
+
+
+@pytest.mark.parametrize("block", [16, 4096], ids=["16-byte blocks", "4 KiB blocks"])
+def test_a_long_text_among_short_ones_reads_like_the_row_parser(tmp_path, block):
+    """Only the cells longer than 8 bytes read further words; a long cell
+    that starts like an 8-byte one (abcdefgh0 and abcdefgh) or a
+    one-word number never shares its group."""
+    lines = ["X1,U1,X2,U2"]
+    for i in range(1500):
+        if i % 100 == 50:
+            lines.append(f"1.23456789012345{i % 7},abcdefgh{i % 3},24.799999999999997,abcdefghijklmnopq{i % 2}")
+        else:
+            lines.append(f"{i % 3},abcdefgh,{i % 4}.5,{'ab'[i % 2]}")
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if block == 4096:  # every block holds a long cell and a short one in each column
+        lengths = _blocks_of(path, block, _schema_with_values())
+        assert all(((n > 8).any(axis=0) & (n <= 8).any(axis=0)).all() for n in lengths)
+    with mock.patch.object(data, "_BLOCK_BYTES", block):
+        assert assert_reads_like_the_row_parser(str(path), _schema_with_values())
+
+
+def _spread_rows(parts):
+    """A file over X1, U1, X2, U2 whose X1 cells are parts' texts, in
+    order; the other cells are few-valued."""
+    rows = [f"{x},{'ab'[i % 2]},{i % 3},b" for i, x in enumerate(x for part in parts for x in part)]
+    return ("X1,U1,X2,U2\n" + "".join(row + "\n" for row in rows)).encode()
+
+
+# X1 texts that are all distinct, and few-valued ones with 1_0, which
+# np.loadtxt refuses, in their middle: with 4 KiB blocks no block holds
+# 1_0 and a distinct text, so each is read column by column
+DISTINCT = [f"{i}.{i % 7}" for i in range(600)]
+FEW_WITH_1_0 = ["1", "2"] * 300 + ["1_0", "2"] * 300 + ["1", "2"] * 300
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [[DISTINCT, FEW_WITH_1_0], [DISTINCT, FEW_WITH_1_0, [f"-{x}" for x in DISTINCT]]],
+    ids=["distinct, then few-valued", "distinct, few-valued, distinct again"],
+)
+def test_a_column_loadtxt_took_stays_columnar_when_a_later_block_holds_1_0(tmp_path, parts):
+    """np.loadtxt refuses the remembered column in the 1_0 blocks, which
+    are then decided as if it were not remembered."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(_spread_rows(parts))
+    with mock.patch.object(data, "_BLOCK_BYTES", 4096):
+        assert assert_reads_like_the_row_parser(str(path), _schema_with_values())
+
+
+def test_a_column_loadtxt_took_skips_the_dictionary_in_later_blocks(tmp_path):
+    """A mostly distinct column is coded by _distinct in its first block
+    only; each later block sends it straight to np.loadtxt."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"X1\n" + b"".join(b"%d.5\n" % i for i in range(3000)))
+    distinct, loadtxt = mock.Mock(wraps=data._distinct), mock.Mock(wraps=data._loadtxt)
+    with (
+        mock.patch.object(data, "_BLOCK_BYTES", 4096),
+        mock.patch.object(data, "_distinct", distinct),
+        mock.patch.object(data, "_loadtxt", loadtxt),
+    ):
+        assert assert_reads_like_the_row_parser(str(path), _number_schema())
+    blocks = len(_blocks_of(path, 4096, _number_schema()))
+    assert blocks > 4
+    # assert_reads_like_the_row_parser loads the file twice
+    assert (distinct.call_count, loadtxt.call_count) == (2, 2 * blocks)
+
+
+def test_a_file_the_row_parser_reads_is_logged(tmp_path, caplog):
+    """One DEBUG record on logger invarmine.data names a file the columnar
+    reader gave up on; the library adds no handler."""
+    plain = write_text(tmp_path / "plain.csv", "X1,U1,X2,U2\n1,a,2,b\n")
+    quoted = write_text(tmp_path / "quoted.csv", 'X1,U1,X2,U2\n1,"a",2,b\n')
+    with caplog.at_level(logging.DEBUG, logger="invarmine.data"):
+        load_csv(plain, _schema_with_values())
+        assert caplog.records == []
+        load_csv(quoted, _schema_with_values())
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("invarmine.data", logging.DEBUG, f"{quoted}: read by the row parser")
+    ]
+    assert logging.getLogger("invarmine.data").handlers == []
 
 
 CONT_CELLS = ["0", "1.5", "-2.25", "1e5", "-0", ".5", " 3", "4 ", "\u00a05", "\t6", "1_0", "\u0661",

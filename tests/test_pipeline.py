@@ -4,21 +4,32 @@ import hashlib
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invarmine import cli
-from invarmine.data import CATEGORICAL, CONTINUOUS, Column, DataError, Dataset, Schema, load_csv, write_csv
+from invarmine import cli, data
+from invarmine.data import (
+    CATEGORICAL,
+    CONTINUOUS,
+    Column,
+    DataError,
+    Dataset,
+    Schema,
+    load_csv,
+    save_schema,
+    write_csv,
+)
 from invarmine.detect import DetectionConfig, detect, score_dataset, score_point, write_reports
 from invarmine.evaluate import holdout_split
 from invarmine.mining import BOUNDARY, MiningConfig, MiningError, load_ruleset, save_ruleset
 from invarmine.pipeline import train_ruleset
 from invarmine.synth import X3_HIGH, planted_rule_data, random_mixed_dataset
 
-from helpers import make_dataset
+from helpers import BENCH, load_script, make_dataset
 
 
 class TestTraining:
@@ -186,6 +197,10 @@ class TestGeneratorCoding:
                     assert got.dtype == codes.dtype and np.array_equal(got, codes), (seed, n, col.name)
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestPinnedOutputs:
     """SHA-256 of the rule file, the score report and `invarmine explain`'s
     output on two generated cases.  The test table goes through write_csv
@@ -213,26 +228,32 @@ class TestPinnedOutputs:
         write_reports(reports, ruleset, str(report))
         return rules, data, report, reports
 
-    @pytest.mark.parametrize(
-        "case, rules_digest, report_digest",
-        [
-            (
-                "planted",
-                "1baca44141c80b62095684c288d8034893d16c8519cc04a89975b2b4d86f6c1e",
-                "1ff2f1d9a65a9a6387af294e7366dc060156136d2f6615aa8dd4279d14135324",
-            ),
-            (
-                "random_mixed",
-                "991feaf88dd8ff4c3178ba49743a0e678310c18ddf3f0f892ceab8f074e3c6d1",
-                "602cb2a5282c43d20c088fdba2fe7a078c25a6d8a1ef941cc7db96ab2a005404",
-            ),
-        ],
-        ids=["planted", "random_mixed"],
-    )
-    def test_rule_file_and_report_keep_their_bytes(self, tmp_path, case, rules_digest, report_digest):
+    # each case's rule file and score report SHA-256
+    DIGESTS = {
+        "planted": (
+            "1baca44141c80b62095684c288d8034893d16c8519cc04a89975b2b4d86f6c1e",
+            "1ff2f1d9a65a9a6387af294e7366dc060156136d2f6615aa8dd4279d14135324",
+        ),
+        "random_mixed": (
+            "991feaf88dd8ff4c3178ba49743a0e678310c18ddf3f0f892ceab8f074e3c6d1",
+            "602cb2a5282c43d20c088fdba2fe7a078c25a6d8a1ef941cc7db96ab2a005404",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_rule_file_and_report_keep_their_bytes(self, tmp_path, case):
         rules, _, report, _ = self.built(tmp_path, case)
-        assert hashlib.sha256(rules.read_bytes()).hexdigest() == rules_digest
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+        assert (_sha256(rules), _sha256(report)) == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_a_test_table_read_in_4_kib_blocks_keeps_the_bytes(self, tmp_path, case):
+        """The same digests when the columnar reader crosses block
+        boundaries: values first seen in a later block, and the columns
+        np.loadtxt took in an earlier one."""
+        with mock.patch.object(data, "_BLOCK_BYTES", 4096):
+            rules, test, report, _ = self.built(tmp_path, case)
+        assert test.stat().st_size > 8 * 4096
+        assert (_sha256(rules), _sha256(report)) == self.DIGESTS[case]
 
     @pytest.mark.parametrize(
         "case, digests",
@@ -265,6 +286,58 @@ class TestPinnedOutputs:
             assert cli.main(["explain", "--rules", str(rules), "--data", str(data), "--row", str(row)]) == 0
             got[row] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert got == digests
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """bench/workloads.py, only read."""
+    return load_script("workloads", BENCH)
+
+
+@pytest.mark.parametrize("block", [None, 4096], ids=["256 KiB blocks", "4 KiB blocks"])
+@pytest.mark.parametrize(
+    "name, rules_digest, report_digest",
+    [
+        (
+            "tall",
+            "5a7f700dca8c35157ef76af3932ac4bee8e1dff6f6e63e1faa93206a29ea94c8",
+            "5cdb59922a8333cb6ac183e432c6ca5cf50acf12eb7f50a371a883f1f7c9cd5b",
+        ),
+        (
+            "noisy",
+            "796694014c8cf5c3749c6048a1b8e683c5859b86f599b188cc09b4cd76cb8965",
+            "c1a5ba53639bc5f2872fe6cf567229be334de29292a2e9381239a05fa8ba15e9",
+        ),
+        (
+            "wide",
+            "ba0bee7a3f4233d4967fdaa6c5a3ce4bff54c66b7525effcd65fe0cee7c1475d",
+            "adf72aaa0faf3774db29f5e38d1ebc0aea4adfea7e884de41e6b15cd2b6ac01c",
+        ),
+    ],
+    ids=["tall", "noisy", "wide"],
+)
+def test_bench_instances_keep_their_bytes(tmp_path, capsys, workloads, block, name, rules_digest, report_digest):
+    """The bench workloads at scale 0.05 (training seed 0, test seed
+    10000): both tables written with write_csv, then `invarmine train`
+    and `invarmine score` through the CLI, which load them with load_csv.
+    The rule file and the score report keep their SHA-256."""
+    workload = workloads.WORKLOADS[name]
+    train, test, _ = workloads.make_tables(workload, 0, 10000, 0.05)
+    schema, train_csv, test_csv = tmp_path / "schema.json", tmp_path / "train.csv", tmp_path / "test.csv"
+    rules, report = tmp_path / "rules.json", tmp_path / "report.jsonl"
+    save_schema(train.schema, str(schema))
+    write_csv(train, str(train_csv))
+    write_csv(test, str(test_csv))
+    theta, gamma = str(workload.theta), str(workload.gamma)
+    with mock.patch.object(data, "_BLOCK_BYTES", block or data._BLOCK_BYTES):
+        trained = cli.main(
+            ["train", "--data", str(train_csv), "--schema", str(schema), "--theta", theta, "--gamma", gamma,
+             "--out", str(rules)]
+        )
+        scored = cli.main(["score", "--rules", str(rules), "--data", str(test_csv), "--out", str(report)])
+    capsys.readouterr()
+    assert (trained, scored) == (0, 1)
+    assert (_sha256(rules), _sha256(report)) == (rules_digest, report_digest)
 
 
 # Floats that have broken training before or sit at an edge of float64:
