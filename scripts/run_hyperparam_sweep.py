@@ -1,7 +1,8 @@
 """Grid sweep of theta and gamma on the planted-rule synthetic data.
 
-Each cell retrains from scratch and reports rule count plus detection
-metrics on a labeled test table.  The point of the exercise: rule count
+Each theta's trees, predicates and count table are built once and shared
+by its gammas; each cell reports rule count plus detection metrics on a
+labeled test table.  The point of the exercise: rule count
 shrinks monotonically as either knob rises, and detection quality holds
 over a wide band before the mined rules disappear entirely.
 """

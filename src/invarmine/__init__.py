@@ -54,6 +54,7 @@ from .mining import (
     MiningError,
     RuleSet,
     boundary_rules,
+    count_sets,
     filter_closed,
     generate_rules,
     load_ruleset,
@@ -116,6 +117,7 @@ __all__ = [
     "TreeError",
     "boundary_rules",
     "compute_column_stats",
+    "count_sets",
     "detect",
     "explain",
     "extract_cutoffs",

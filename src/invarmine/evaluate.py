@@ -22,7 +22,7 @@ import numpy as np
 from .data import DataError, Dataset
 from .detect import score_dataset
 from .mining import MiningConfig, MiningError
-from .pipeline import train_ruleset
+from .pipeline import DataStage, ThetaStage, data_stage, gamma_stage, theta_stage, train_ruleset
 
 
 @dataclass(frozen=True)
@@ -183,24 +183,45 @@ def sweep(
     max_set_size: int | None = MiningConfig.max_set_size,
     max_fpr: float = DEFAULT_MAX_FPR,
 ) -> SweepResult:
-    """Retrain and evaluate on every (theta, gamma) grid cell.
+    """Train and evaluate every (theta, gamma) grid cell, in grid order.
 
-    Precision, recall and F1 take phi = 0, as tune_theta does: a row is
-    predicted anomalous when it breaks any rule.  A cell that fails (for
-    instance an out-of-range hyperparameter) records its error and the
-    sweep moves on.  gamma = 0 is admitted: the rarest-member term of the
-    frequency floor simply vanishes.
+    Training's data stage runs once and its theta stage once per theta,
+    when a cell first needs them; each cell runs the gamma stage (a
+    filter over its theta's count table) and scoring.  Precision, recall
+    and F1 take phi = 0, as tune_theta does: a row is predicted
+    anomalous when it breaks any rule.  A cell that fails (for instance
+    an out-of-range hyperparameter) records its error and the sweep
+    moves on; a shared stage that fails is not run again, and its error
+    goes into every cell that needs it.  gamma = 0 is admitted: the
+    rarest-member term of the frequency floor simply vanishes.
     """
+    timings: dict[str, float] = {}  # the stages' timings, not reported
+    stages: dict[tuple, DataStage | ThetaStage | ValueError] = {}
+
+    def once(key: tuple, build):
+        """build()'s result, kept under key; a ValueError it raised is kept and raised again."""
+        if key not in stages:
+            try:
+                stages[key] = build()
+            except ValueError as exc:
+                stages[key] = exc
+        if isinstance(stages[key], ValueError):
+            raise stages[key]
+        return stages[key]
+
     cells: list[SweepCell] = []
-    for theta in theta_grid:
+    for pos, theta in enumerate(theta_grid):
         for gamma in gamma_grid:
             cell = SweepCell(theta=theta, gamma=gamma)
             try:
-                result = train_ruleset(train, MiningConfig(theta, gamma, max_set_size))
-                scores = score_dataset(result.ruleset, test)
+                config = MiningConfig(theta, gamma, max_set_size)
+                data = once(("data",), lambda: data_stage(train, timings))
+                shared = once(("theta", theta), lambda: theta_stage(train, data, theta, max_set_size, timings))
+                ruleset = gamma_stage(train, data, shared, config, timings)
+                scores = score_dataset(ruleset, test)
                 ls = LabeledScores(scores, labels)
                 prf = prf1_at_threshold(ls, 0.0)
-                cell.rule_count = len(result.ruleset.rules)
+                cell.rule_count = len(ruleset.rules)
                 cell.auc = roc_auc(ls)
                 cell.pauc = standardized_pauc(ls, max_fpr)
                 cell.f1 = prf.f1
@@ -209,6 +230,8 @@ def sweep(
             except ValueError as exc:
                 cell.error = str(exc)
             cells.append(cell)
+        if theta not in theta_grid[pos + 1 :]:
+            stages.pop(("theta", theta), None)  # hold one theta's count table at a time
     return SweepResult(cells)
 
 

@@ -15,10 +15,13 @@ row; a set's children are counted together with one AND and popcount
 over the rows of its candidate list, the later siblings that passed
 theta, which is exact because sigma(S + {i, j}) <= sigma(S + {j}).
 
-That pass is the only place where predicate sets are counted.  It can
-record the row count of every set it finds above theta, singletons
-included, in a count table keyed by the ascending id tuple; every
-subset of such a set is above theta too, so it is in the table.
+That pass, count_sets, is the only place where predicate sets are
+counted, and it depends on theta alone.  It records the row count of
+every set it finds above theta, singletons included, in a count table
+keyed by the ascending id tuple; every subset of such a set is above
+theta too, so it is in the table.  Gamma is a filter over that table:
+mine_frequent_sets emits the entries that pass the full floor, so one
+table serves every gamma of its theta.
 
 Frequent sets are filtered to closed sets (no frequent superset within
 the mined collection has equal support) by a walk over subsets: each
@@ -121,7 +124,7 @@ class FrequentSet:
     support: float
 
 
-# Candidate checks one mine_frequent_sets call may make (a check is one
+# Candidate checks one count_sets call may make (a check is one
 # popcounted row of a node's intersection matrix, about 3 us on a 20k-row
 # table).  The benchmark training tables need at most 79k (noisy), so the
 # cap is over 100x that.  It is a bound, not a tuning knob: it turns a
@@ -147,14 +150,11 @@ def _tidsets(dataset: Dataset, catalog: PredicateCatalog) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def mine_frequent_sets(
-    dataset: Dataset,
-    catalog: PredicateCatalog,
-    config: MiningConfig,
-    *,
-    counts: dict[tuple[int, ...], int] | None = None,
-) -> list[FrequentSet]:
-    """Enumerate all frequent predicate sets of size 2..max_set_size.
+def count_sets(
+    dataset: Dataset, catalog: PredicateCatalog, theta: float, max_set_size: int | None
+) -> dict[tuple[int, ...], int]:
+    """The count table: the row count of every set of size 1..max_set_size
+    whose support passes theta, keyed by its ascending ids.
 
     Depth-first over equivalence classes (Zaki's Eclat): a node is a set
     S in ascending index order with its packed tidset row and a candidate
@@ -165,22 +165,16 @@ def mine_frequent_sets(
     of that AND as its tidset.  This is exact: sigma(S + {i, j}) <=
     sigma(S + {j}), so a sibling that failed theta can only fail again
     below, and the sets visited are exactly those of trying every later
-    index.  The gamma term decides output per set and never prunes, since
-    it is not anti-monotone.  Output is sorted by size, then
-    lexicographically by indices.
+    index.  The singletons come from the root pass.
 
-    counts, when given, is filled as the count table: the row count of
-    every set the pass finds above theta, emitted or not, keyed by its
-    ids; the singletons come from the root pass.  The check budget
-    bounds it, since each entry is one check.  Raises MiningError once
-    the enumeration passes a fixed budget of candidate checks.
+    Raises MiningError once the enumeration passes a fixed budget of
+    candidate checks; each table entry is one check, so the budget
+    bounds the table too.
     """
     n = dataset.row_count
-    theta, gamma = config.theta, config.gamma
-    cap = config.max_set_size if config.max_set_size is not None else len(catalog)
+    cap = max_set_size if max_set_size is not None else len(catalog)
     singleton = catalog.supports
-    out: list[FrequentSet] = []
-    table = {} if counts is None else counts
+    table: dict[tuple[int, ...], int] = {}
     tids = _tidsets(dataset, catalog)
     checks = 0
 
@@ -190,26 +184,20 @@ def mine_frequent_sets(
         if checks > _MAX_CANDIDATE_CHECKS:
             raise MiningError(
                 f"frequent-set enumeration passed {_MAX_CANDIDATE_CHECKS} candidate checks; "
-                f"raise theta (now {theta}) or lower max_set_size (now {config.max_set_size})"
+                f"raise theta (now {theta}) or lower max_set_size (now {max_set_size})"
             )
         hits = np.bitwise_count(rows).sum(axis=1).tolist()
         return [k for k, c in enumerate(hits) if c / n > theta], hits
 
-    def extend(ids: list[int], tid: np.ndarray, min_member: float, cand: np.ndarray) -> None:
+    def extend(ids: list[int], tid: np.ndarray, cand: np.ndarray) -> None:
         rows = tids[cand] & tid
         kept, hits = passing(rows, cand)
         later = cand[kept]
         for pos, (k, j) in enumerate(zip(kept, later.tolist())):
-            count = hits[k]
-            sup = count / n
-            new_min = min(min_member, singleton[j])
             ids.append(j)
-            key = tuple(ids)
-            table[key] = count
-            if sup > max(theta, gamma * new_min):
-                out.append(FrequentSet(key, sup))
+            table[tuple(ids)] = hits[k]
             if len(ids) < cap and pos + 1 < len(kept):
-                extend(ids, rows[k], new_min, later[pos + 1 :])
+                extend(ids, rows[k], later[pos + 1 :])
             ids.pop()
 
     # Candidates are the indices whose own row count passes theta: that count,
@@ -222,8 +210,30 @@ def mine_frequent_sets(
     table.update(((j,), hits[j]) for j in kept)
     for pos, j in enumerate(frequent.tolist()):
         if singleton[j] > theta:
-            extend([j], tids[j], singleton[j], frequent[pos + 1 :])
+            extend([j], tids[j], frequent[pos + 1 :])
+    return table
 
+
+def mine_frequent_sets(
+    counts: dict[tuple[int, ...], int], catalog: PredicateCatalog, config: MiningConfig, row_count: int
+) -> list[FrequentSet]:
+    """The frequent sets of size >= 2 among count_sets' table for config.theta.
+
+    A set is emitted when count / row_count > max(theta, gamma * min
+    member support), member supports read from the catalog's cache.  The
+    gamma term only filters: it is not anti-monotone, so it never
+    prunes the enumeration, and one table serves every gamma.  Output
+    is sorted by size, then lexicographically by indices.
+    """
+    theta, gamma = config.theta, config.gamma
+    singleton = catalog.supports
+    out: list[FrequentSet] = []
+    for ids, count in counts.items():
+        if len(ids) < 2:
+            continue
+        sup = count / row_count
+        if sup > max(theta, gamma * min(singleton[i] for i in ids)):
+            out.append(FrequentSet(ids, sup))
     out.sort(key=lambda s: (len(s.ids), s.ids))
     return out
 
@@ -286,9 +296,8 @@ def generate_rules(
     only when no qualifying proper subset of it exists.  Each set's
     rules come out by antecedent size, then antecedent ids.
 
-    counts is mine_frequent_sets' count table for the run that found
-    closed_sets; a count the search needs and the table lacks raises
-    MiningError.
+    counts is count_sets' table for the theta that found closed_sets;
+    a count the search needs and the table lacks raises MiningError.
     """
 
     def count(ids: tuple[int, ...]) -> int:

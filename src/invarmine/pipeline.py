@@ -1,21 +1,35 @@
 """End-to-end training: statistics, trees, predicates, mining, rules.
 
-The whole pipeline is deterministic: tree fitting breaks ties by
-column order and threshold, catalogs list categorical predicates
-before continuous ones, and mined rules come out in canonical order.
+Training is three stages, split by what each depends on:
+
+- the data stage (column statistics, the continuous columns' row
+  orders) depends on the table alone;
+- the theta stage (trees, cut-offs, the predicate catalog, the count
+  table of every set above theta) depends on theta and max_set_size;
+- the gamma stage (emission, closedness, rules, boundary rules) filters
+  that table for one gamma.
+
+train_ruleset runs them in turn; evaluate.sweep runs the first once and
+the second once per theta.  The whole pipeline is deterministic: tree
+fitting breaks ties by column order and threshold, catalogs list
+categorical predicates before continuous ones, and mined rules come out
+in canonical order.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .data import Dataset, compute_column_stats
+from .data import ColumnStats, Dataset, compute_column_stats
 from .mining import (
     MiningConfig,
     RuleSet,
     boundary_rules,
+    count_sets,
     filter_closed,
     generate_rules,
     mine_frequent_sets,
@@ -23,6 +37,7 @@ from .mining import (
 from .predicates import PredicateCatalog, gen_categorical_predicates, gen_continuous_predicates
 from .tree import (
     DecisionTree,
+    RowOrders,
     extract_cutoffs,
     fit_classification_tree,
     fit_regression_tree,
@@ -37,12 +52,33 @@ class TrainResult:
     warnings: list[str]
 
 
-def _fit_trees(dataset: Dataset, min_leaf: int) -> tuple[list[DecisionTree], list[str]]:
+@dataclass(frozen=True)
+class DataStage:
+    stats: ColumnStats
+    sorted_rows: RowOrders
+
+
+@dataclass(frozen=True)
+class ThetaStage:
+    catalog: PredicateCatalog
+    counts: dict[tuple[int, ...], int]
+    warnings: list[str]
+
+
+@contextmanager
+def _timed(timings: dict[str, float], stage: str) -> Iterator[None]:
+    """Add the block's wall time to timings[stage]."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
+
+
+def _fit_trees(
+    dataset: Dataset, min_leaf: int, sorted_rows: RowOrders
+) -> tuple[list[DecisionTree], list[str]]:
     schema = dataset.schema
     trees: list[DecisionTree] = []
     warnings: list[str] = []
-    # every tree splits on the continuous columns: sort them once, share read-only
-    sorted_rows = sort_continuous_columns(dataset)
     for name in schema.categorical_names:
         if schema.continuous_names:
             trees.append(fit_classification_tree(dataset, name, min_leaf, sorted_rows))
@@ -57,56 +93,67 @@ def _fit_trees(dataset: Dataset, min_leaf: int) -> tuple[list[DecisionTree], lis
     return trees, warnings
 
 
+def data_stage(dataset: Dataset, timings: dict[str, float]) -> DataStage:
+    with _timed(timings, "stats"):
+        stats = compute_column_stats(dataset)
+    # every tree splits on the continuous columns: sort them once, share read-only
+    with _timed(timings, "trees"):
+        sorted_rows = sort_continuous_columns(dataset)
+    return DataStage(stats, sorted_rows)
+
+
+def theta_stage(
+    dataset: Dataset, data: DataStage, theta: float, max_set_size: int | None, timings: dict[str, float]
+) -> ThetaStage:
+    with _timed(timings, "trees"):
+        trees, warnings = _fit_trees(dataset, math.floor(dataset.row_count * theta), data.sorted_rows)
+    with _timed(timings, "predicates"):
+        cutoffs = extract_cutoffs(trees)
+        categorical = gen_categorical_predicates(dataset, theta)
+        continuous = gen_continuous_predicates(dataset, cutoffs, theta)
+        catalog = PredicateCatalog(categorical.pairs() + continuous.pairs())
+    with _timed(timings, "mining"):
+        counts = count_sets(dataset, catalog, theta, max_set_size)
+    return ThetaStage(catalog, counts, warnings)
+
+
+def gamma_stage(
+    dataset: Dataset, data: DataStage, shared: ThetaStage, config: MiningConfig, timings: dict[str, float]
+) -> RuleSet:
+    with _timed(timings, "mining"):
+        frequent = mine_frequent_sets(shared.counts, shared.catalog, config, dataset.row_count)
+        closed = filter_closed(frequent)
+    with _timed(timings, "rules"):
+        rules = generate_rules(closed, shared.catalog, shared.counts)
+        rules.extend(boundary_rules(data.stats, dataset.schema))
+    return RuleSet(
+        schema=dataset.schema.copy(),
+        stats=data.stats,
+        theta=config.theta,
+        gamma=config.gamma,
+        max_set_size=config.max_set_size,
+        catalog=shared.catalog,
+        rules=rules,
+    )
+
+
 def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
     """Learn an invariant ruleset from anomaly-free training data.
 
     Stages: column statistics; decision trees (one classification tree
     per categorical column, one regression tree per continuous column,
-    leaf floor |D| * theta); predicate catalogs; frequent-set mining,
-    which also fills the count table with the row count of every set it
-    finds above theta, and closedness by a walk over each set's
-    immediate subsets; rule generation, which reads each closed set's
-    candidate antecedents from that table, plus per-column boundary
-    rules.  Timings per stage are returned in seconds.
+    leaf floor |D| * theta); predicate catalogs; the count table, the
+    row count of every set above theta, whose enumeration depends on
+    theta alone; emission, a gamma filter over that table, and
+    closedness by a walk over each set's immediate subsets; rule
+    generation, which reads each closed set's candidate antecedents
+    from the table, plus per-column boundary rules.  Timings per stage
+    are returned in seconds.
     """
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
-
-    t0 = time.perf_counter()
-    stats = compute_column_stats(dataset)
-    timings["stats"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    min_leaf = math.floor(dataset.row_count * config.theta)
-    trees, warnings = _fit_trees(dataset, min_leaf)
-    timings["trees"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cutoffs = extract_cutoffs(trees)
-    categorical = gen_categorical_predicates(dataset, config.theta)
-    continuous = gen_continuous_predicates(dataset, cutoffs, config.theta)
-    catalog = PredicateCatalog(categorical.pairs() + continuous.pairs())
-    timings["predicates"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    counts: dict[tuple[int, ...], int] = {}
-    frequent = mine_frequent_sets(dataset, catalog, config, counts=counts)
-    closed = filter_closed(frequent)
-    timings["mining"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rules = generate_rules(closed, catalog, counts)
-    rules.extend(boundary_rules(stats, dataset.schema))
-    timings["rules"] = time.perf_counter() - t0
+    data = data_stage(dataset, timings)
+    shared = theta_stage(dataset, data, config.theta, config.max_set_size, timings)
+    ruleset = gamma_stage(dataset, data, shared, config, timings)
     timings["total"] = time.perf_counter() - t_start
-
-    ruleset = RuleSet(
-        schema=dataset.schema.copy(),
-        stats=stats,
-        theta=config.theta,
-        gamma=config.gamma,
-        max_set_size=config.max_set_size,
-        catalog=catalog,
-        rules=rules,
-    )
-    return TrainResult(ruleset=ruleset, timings=timings, warnings=warnings)
+    return TrainResult(ruleset=ruleset, timings=timings, warnings=shared.warnings)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from invarmine.data import CATEGORICAL, CONTINUOUS, Column, DataError, Dataset, Schema
+from invarmine.mining import count_sets, mine_frequent_sets
 from invarmine.predicates import (
     CategoricalDisjunction,
     CategoricalEquals,
@@ -49,6 +50,13 @@ def support(dataset, predicates):
 def build_catalog(dataset, predicates):
     """Catalog over the given predicates with true training supports cached."""
     return PredicateCatalog([(p, support(dataset, [p])) for p in predicates])
+
+
+def mine(dataset, catalog, config):
+    """The frequent sets of one config: count_sets' table for its theta,
+    then mine_frequent_sets' gamma filter over it."""
+    counts = count_sets(dataset, catalog, config.theta, config.max_set_size)
+    return mine_frequent_sets(counts, catalog, config, dataset.row_count)
 
 
 def write_text(path, text):

@@ -202,6 +202,43 @@ def rules_by_subset_scan(closed_sets, dataset, catalog):
     return rules
 
 
+def sweep_by_retraining(train, test, labels, theta_grid, gamma_grid, max_set_size, max_fpr):
+    """sweep() as it stood before it shared the data and theta stages,
+    kept whole: every cell retrains from scratch with train_ruleset.
+    Returns the same SweepResult."""
+    from invarmine.detect import score_dataset
+    from invarmine.evaluate import (
+        LabeledScores,
+        SweepCell,
+        SweepResult,
+        prf1_at_threshold,
+        roc_auc,
+        standardized_pauc,
+    )
+    from invarmine.mining import MiningConfig
+    from invarmine.pipeline import train_ruleset
+
+    cells = []
+    for theta in theta_grid:
+        for gamma in gamma_grid:
+            cell = SweepCell(theta=theta, gamma=gamma)
+            try:
+                result = train_ruleset(train, MiningConfig(theta, gamma, max_set_size))
+                scores = score_dataset(result.ruleset, test)
+                ls = LabeledScores(scores, labels)
+                prf = prf1_at_threshold(ls, 0.0)
+                cell.rule_count = len(result.ruleset.rules)
+                cell.auc = roc_auc(ls)
+                cell.pauc = standardized_pauc(ls, max_fpr)
+                cell.f1 = prf.f1
+                cell.precision = prf.precision
+                cell.recall = prf.recall
+            except ValueError as exc:
+                cell.error = str(exc)
+            cells.append(cell)
+    return SweepResult(cells)
+
+
 def roc_curve_by_recount(scores, labels):
     """ROC vertices recomputed from scratch at every distinct score.
 

@@ -24,6 +24,7 @@ from invarmine.evaluate import (
 from invarmine.mining import (
     BOUNDARY,
     MiningConfig,
+    count_sets,
     filter_closed,
     generate_rules,
     mine_frequent_sets,
@@ -32,7 +33,7 @@ from invarmine.pipeline import train_ruleset
 from invarmine.predicates import CategoricalDisjunction, CategoricalEquals, Interval
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
-from helpers import build_catalog, load_script, random_predicates
+from helpers import build_catalog, load_script, mine, random_predicates
 from oracles import (
     area_by_segments,
     auc_by_pair_counting,
@@ -101,7 +102,7 @@ def test_02_mining_oracle():
         cap = int(rng.choice([2, 3, 3, 4]))
         config = MiningConfig(theta, gamma, cap)
 
-        mined = mine_frequent_sets(dataset, catalog, config)
+        mined = mine(dataset, catalog, config)
         expected = frequent_sets_by_enumeration(dataset, catalog, theta, gamma, cap)
         if {s.ids: s.support for s in mined} != expected:
             mismatches += 1
@@ -324,9 +325,9 @@ def test_07_hyperparameter_monotonicity():
     closed_counts = {}
     rule_counts = {}
     for theta in thetas:
+        counts = count_sets(dataset, catalog, theta, MiningConfig.max_set_size)
         for gamma in gammas:
-            counts = {}
-            mined = mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma), counts=counts)
+            mined = mine_frequent_sets(counts, catalog, MiningConfig(theta, gamma), dataset.row_count)
             closed = filter_closed(mined)
             rules = generate_rules(closed, catalog, counts)
             frequent_counts[(theta, gamma)] = len(mined)

@@ -1,14 +1,19 @@
 """Metrics, the hyperparameter sweep, and threshold tuning."""
 
+import tempfile
+from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from invarmine import mining
 from invarmine.data import DataError
 from invarmine.evaluate import (
+    DEFAULT_MAX_FPR,
     DEFAULT_THETA_CANDIDATES,
     LabeledScores,
     PRF1,
@@ -23,6 +28,7 @@ from invarmine.evaluate import (
     tune_theta,
 )
 from invarmine.mining import MiningConfig, MiningError
+from invarmine.pipeline import data_stage, theta_stage
 from invarmine.synth import planted_rule_data
 
 from helpers import make_dataset
@@ -31,6 +37,7 @@ from oracles import (
     auc_by_pair_counting,
     roc_curve_by_recount,
     standardize_partial_area,
+    sweep_by_retraining,
 )
 
 
@@ -193,14 +200,17 @@ class TestFalsePositiveRate:
             false_positive_rate(np.array([]))
 
 
-class TestSweep:
-    def build_data(self):
-        train, _ = planted_rule_data(150, seed=21)
-        test, labels = planted_rule_data(80, seed=22, violation_rate=0.2)
-        return train, test, labels
+@cache
+def sweep_tables(empty):
+    """The sweep tests' tables; with empty, the training table has no rows."""
+    train, _ = planted_rule_data(150, seed=21)
+    test, labels = planted_rule_data(80, seed=22, violation_rate=0.2)
+    return (train.take(np.arange(0)) if empty else train), test, labels
 
+
+class TestSweep:
     def test_full_grid_evaluates_every_cell(self):
-        train, test, labels = self.build_data()
+        train, test, labels = sweep_tables(False)
         result = sweep(train, test, labels, [0.2, 0.3], [0.0, 0.5], max_set_size=4)
         assert [(c.theta, c.gamma) for c in result.cells] == [
             (0.2, 0.0),
@@ -215,7 +225,7 @@ class TestSweep:
             assert 0.0 <= cell.pauc <= 1.0
 
     def test_bad_cell_records_error_and_sweep_continues(self):
-        train, test, labels = self.build_data()
+        train, test, labels = sweep_tables(False)
         result = sweep(train, test, labels, [1.5, 0.3], [0.0], max_set_size=4)
         bad, good = result.cells
         assert "theta must lie in (0, 1)" in bad.error
@@ -223,7 +233,7 @@ class TestSweep:
         assert good.error is None and good.rule_count > 0
 
     def test_sweep_is_deterministic(self):
-        train, test, labels = self.build_data()
+        train, test, labels = sweep_tables(False)
         first = sweep(train, test, labels, [0.25], [0.0, 0.5], max_set_size=4)
         second = sweep(train, test, labels, [0.25], [0.0, 0.5], max_set_size=4)
         assert first.cells == second.cells
@@ -242,6 +252,67 @@ class TestSweep:
         assert lines[0] == "theta,gamma,rule_count,auc,pauc,f1,precision,recall"
         assert lines[1] == f"0.2,0.5,12,0.875,0.5,0.8,1.0,{2.0 / 3.0!r}"
         assert lines[2] == "0.9,0.5,,,,,,"
+
+
+@given(
+    theta_grid=st.lists(st.sampled_from([0.1, 0.15, 0.2, 0.3, 1.5]), min_size=1, max_size=3),
+    gamma_grid=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), min_size=1, max_size=3),
+    max_set_size=st.sampled_from([2, 3, 4, None, 1]),
+    empty=st.sampled_from([False, False, False, True]),
+)
+@example(theta_grid=[0.2, 0.3, 0.2], gamma_grid=[0.0, 0.5], max_set_size=4, empty=False)
+@example(theta_grid=[1.5, 0.2], gamma_grid=[0.0, 0.5], max_set_size=4, empty=False)
+@example(theta_grid=[0.2], gamma_grid=[1.0, 0.5], max_set_size=4, empty=False)
+@example(theta_grid=[0.2, 0.3], gamma_grid=[0.0], max_set_size=1, empty=False)
+@example(theta_grid=[1.5, 0.2], gamma_grid=[1.0, 0.0], max_set_size=1, empty=False)
+@example(theta_grid=[0.2, 0.3, 0.2], gamma_grid=[0.0, 0.5], max_set_size=4, empty=True)
+@example(theta_grid=[1.5, 0.2], gamma_grid=[1.0, 0.0], max_set_size=1, empty=True)
+def test_sweep_equals_retraining_every_cell(theta_grid, gamma_grid, max_set_size, empty):
+    """Shared stages change nothing: the cells, errors included, and the CSV
+    bytes are those of training each cell from scratch."""
+    train, test, labels = sweep_tables(empty)
+    args = (train, test, labels, theta_grid, gamma_grid, max_set_size, DEFAULT_MAX_FPR)
+    shared, retrained = sweep(*args), sweep_by_retraining(*args)
+    assert shared.cells == retrained.cells
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "shared.csv", Path(tmp) / "retrained.csv"]
+        shared.to_csv(str(paths[0]))
+        retrained.to_csv(str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestSharedStageErrors:
+    def counted(self, monkeypatch, name, stage):
+        calls = []
+
+        def run(*args):
+            calls.append(args)
+            return stage(*args)
+
+        monkeypatch.setattr(f"invarmine.evaluate.{name}", run)
+        return calls
+
+    def test_a_failed_theta_stage_runs_once_and_fails_each_of_its_cells(self, monkeypatch):
+        train, test, labels = sweep_tables(False)
+        # on this table, 200 candidate checks count theta 0.3's sets but not theta 0.1's
+        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", 200)
+        calls = self.counted(monkeypatch, "theta_stage", theta_stage)
+        result = sweep(train, test, labels, [0.1, 0.3, 0.1], [0.0, 0.5, 0.9], max_set_size=4)
+        assert [args[2] for args in calls] == [0.1, 0.3]
+        budget = (
+            "frequent-set enumeration passed 200 candidate checks; "
+            "raise theta (now 0.1) or lower max_set_size (now 4)"
+        )
+        assert [c.error for c in result.cells if c.theta == 0.1] == [budget] * 6
+        assert all(c.error is None and c.rule_count > 0 for c in result.cells if c.theta == 0.3)
+
+    def test_a_failed_data_stage_runs_once_and_fails_each_cell_that_needs_it(self, monkeypatch):
+        train, test, labels = sweep_tables(True)
+        calls = self.counted(monkeypatch, "data_stage", data_stage)
+        result = sweep(train, test, labels, [0.2, 1.5, 0.3], [0.0, 0.5], max_set_size=4)
+        assert len(calls) == 1
+        empty, bad = "cannot compute statistics on an empty dataset", "theta must lie in (0, 1), got 1.5"
+        assert [c.error for c in result.cells] == [empty, empty, bad, bad, empty, empty]
 
 
 class FakeTuneTarget:

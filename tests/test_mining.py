@@ -27,6 +27,7 @@ from invarmine.mining import (
     MiningError,
     RuleSet,
     boundary_rules,
+    count_sets,
     filter_closed,
     generate_rules,
     load_ruleset,
@@ -44,7 +45,7 @@ from invarmine.predicates import (
 )
 from invarmine.synth import planted_rule_data, random_mixed_dataset
 
-from helpers import build_catalog, make_dataset, make_schema, random_predicates, support
+from helpers import build_catalog, make_dataset, make_schema, mine, random_predicates, support
 from oracles import (
     closed_by_full_scan,
     closed_by_universe_probe,
@@ -70,10 +71,8 @@ def indicator_predicates(count):
 
 
 def count_table(dataset, catalog):
-    """mine_frequent_sets' count table at theta 0.1 for hand-built closed sets."""
-    counts = {}
-    mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts)
-    return counts
+    """count_sets' table at theta 0.1 for hand-built closed sets."""
+    return count_sets(dataset, catalog, 0.1, 6)
 
 
 class TestConfig:
@@ -101,7 +100,7 @@ class TestFrequentSets:
     def test_perfectly_correlated_pair(self):
         dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3})
         catalog = build_catalog(dataset, indicator_predicates(2))
-        found = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.1, gamma=0.5))
+        found = mine(dataset, catalog, MiningConfig(theta=0.1, gamma=0.5))
         assert found == [FrequentSet((0, 1), 0.4)]
         assert found[0].support == support(dataset, catalog.predicates)
 
@@ -113,37 +112,37 @@ class TestFrequentSets:
         catalog = build_catalog(dataset, indicator_predicates(2))
         assert catalog.supports == [0.15, 0.9]
 
-        strict = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.05, gamma=0.7))
+        strict = mine(dataset, catalog, MiningConfig(theta=0.05, gamma=0.7))
         assert strict == []  # 0.09 is not > max(0.05, 0.7 * 0.15)
 
-        lax = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.05, gamma=0.5))
+        lax = mine(dataset, catalog, MiningConfig(theta=0.05, gamma=0.5))
         assert lax == [FrequentSet((0, 1), 0.09)]
 
     def test_support_equal_to_theta_is_excluded(self):
         dataset = indicator_dataset(4, {0}, {0})
         catalog = build_catalog(dataset, indicator_predicates(2))
-        assert mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.25, gamma=0.0)) == []
-        found = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.2, gamma=0.0))
+        assert mine(dataset, catalog, MiningConfig(theta=0.25, gamma=0.0)) == []
+        found = mine(dataset, catalog, MiningConfig(theta=0.2, gamma=0.0))
         assert found == [FrequentSet((0, 1), 0.25)]
 
     def test_max_set_size_caps_enumeration(self):
         rows = {0, 1, 2}
         dataset = indicator_dataset(6, rows, rows, rows)
         catalog = build_catalog(dataset, indicator_predicates(3))
-        found = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.1, gamma=0.0, max_set_size=2))
+        found = mine(dataset, catalog, MiningConfig(theta=0.1, gamma=0.0, max_set_size=2))
         assert {s.ids for s in found} == {(0, 1), (0, 2), (1, 2)}
 
     def test_output_order_is_canonical(self):
         rows = {0, 1, 2}
         dataset = indicator_dataset(6, rows, rows, rows)
         catalog = build_catalog(dataset, indicator_predicates(3))
-        found = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.1, gamma=0.0))
+        found = mine(dataset, catalog, MiningConfig(theta=0.1, gamma=0.0))
         assert [s.ids for s in found] == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_empty_catalog(self):
         dataset = indicator_dataset(4, {0})
         catalog = PredicateCatalog([])
-        assert mine_frequent_sets(dataset, catalog, MiningConfig(0.2, 0.5)) == []
+        assert mine(dataset, catalog, MiningConfig(0.2, 0.5)) == []
         assert frequent_sets_by_enumeration(dataset, catalog, 0.2, 0.5, 6) == {}
 
 
@@ -151,7 +150,7 @@ class TestBruteForce:
     def test_agrees_with_the_miner_on_a_small_case(self):
         dataset = indicator_dataset(8, {0, 1, 2, 3}, {1, 2, 3, 4}, {2, 3, 4, 5})
         catalog = build_catalog(dataset, indicator_predicates(3))
-        mined = mine_frequent_sets(dataset, catalog, MiningConfig(theta=0.2, gamma=0.3))
+        mined = mine(dataset, catalog, MiningConfig(theta=0.2, gamma=0.3))
         expected = frequent_sets_by_enumeration(dataset, catalog, 0.2, 0.3, 6)
         assert expected  # the case is not vacuous
         # the enumeration visits sets by size, then lexicographically: the miner's order
@@ -186,13 +185,13 @@ def dfs_instance(draw):
 
 
 class TestMatchesDfsReference:
-    """mine_frequent_sets against tests/oracles.py::frequent_sets_by_dfs:
+    """count_sets then mine_frequent_sets against tests/oracles.py::frequent_sets_by_dfs:
     the same FrequentSet list, supports and order."""
 
     @given(dfs_instance())
     def test_generated_tables(self, case):
         dataset, catalog, config = case
-        assert mine_frequent_sets(dataset, catalog, config) == frequent_sets_by_dfs(dataset, catalog, config)
+        assert mine(dataset, catalog, config) == frequent_sets_by_dfs(dataset, catalog, config)
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_whole_word_row_counts(self, n):
@@ -202,7 +201,7 @@ class TestMatchesDfsReference:
         )
         catalog = build_catalog(dataset, random_predicates(dataset, rng, max_preds=10))
         config = MiningConfig(0.05, 0.3, None)
-        found = mine_frequent_sets(dataset, catalog, config)
+        found = mine(dataset, catalog, config)
         assert found  # the case is not vacuous
         assert found == frequent_sets_by_dfs(dataset, catalog, config)
 
@@ -210,7 +209,7 @@ class TestMatchesDfsReference:
         dataset = random_mixed_dataset(3000, 6, 4, seed=1)
         catalog = train_ruleset(dataset, MiningConfig(0.05, 0.5)).ruleset.catalog
         config = MiningConfig(0.05, 0.5, 6)
-        found = mine_frequent_sets(dataset, catalog, config)
+        found = mine(dataset, catalog, config)
         assert found == frequent_sets_by_dfs(dataset, catalog, config)
         # some output set's prefix passed theta (it was extended) but failed gamma
         emitted = {s.ids for s in found}
@@ -221,7 +220,7 @@ class TestMatchesDfsReference:
         dataset = indicator_dataset(8, {0, 1}, {0, 1, 2, 3, 4})
         catalog = PredicateCatalog(list(zip(indicator_predicates(len(supports)), supports)))
         config = MiningConfig(0.25, 0.0, None)
-        assert mine_frequent_sets(dataset, catalog, config) == []
+        assert mine(dataset, catalog, config) == []
         assert frequent_sets_by_dfs(dataset, catalog, config) == []
 
 
@@ -233,11 +232,11 @@ class TestEnumerationBound:
         # every set passes: 6 root checks, then one check per set of size 2..6
         checks = 6 + 2**6 - 6 - 1
         monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", checks)
-        assert len(mine_frequent_sets(dataset, catalog, config)) == 2**6 - 6 - 1
+        assert len(mine(dataset, catalog, config)) == 2**6 - 6 - 1
         monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", checks - 1)
         message = f"passed {checks - 1} candidate checks; raise theta .* or lower max_set_size"
         with pytest.raises(MiningError, match=message):
-            mine_frequent_sets(dataset, catalog, config)
+            count_sets(dataset, catalog, config.theta, config.max_set_size)
 
 
 class TestClosed:
@@ -270,8 +269,8 @@ class TestRuleGeneration:
         # p1 rows strictly inside p2 rows: sigma(p1) = sigma(pair)
         dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5})
         catalog = build_catalog(dataset, indicator_predicates(2))
-        counts = {}
-        closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts))
+        counts = count_table(dataset, catalog)
+        closed = filter_closed(mine_frequent_sets(counts, catalog, MiningConfig(0.1, 0.0), dataset.row_count))
         rules = generate_rules(closed, catalog, counts)
         assert rules == [
             InvariantRule(
@@ -312,8 +311,8 @@ class TestRuleGeneration:
     def test_the_count_table_gives_the_same_rules(self):
         dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5, 6})
         catalog = build_catalog(dataset, indicator_predicates(3))
-        counts = {}
-        closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts))
+        counts = count_table(dataset, catalog)
+        closed = filter_closed(mine_frequent_sets(counts, catalog, MiningConfig(0.1, 0.0), dataset.row_count))
         assert counts == {(0,): 4, (1,): 6, (2,): 7, (0, 1): 4, (0, 2): 4, (1, 2): 6, (0, 1, 2): 4}
         rules = generate_rules(closed, catalog, counts)
         # {1} => {2} from the closed (1, 2), then {0} => {1, 2} from (0, 1, 2)
@@ -325,8 +324,8 @@ class TestRuleGeneration:
         # three that put each member in D, and the three one-member antecedents
         dataset = indicator_dataset(10, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5})
         catalog = build_catalog(dataset, indicator_predicates(3))
-        counts = {}
-        closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(0.1, 0.0), counts=counts))
+        counts = count_table(dataset, catalog)
+        closed = filter_closed(mine_frequent_sets(counts, catalog, MiningConfig(0.1, 0.0), dataset.row_count))
         assert [s.ids for s in closed] == [(0, 1, 2)]
         assert len(counts) == 7
         del counts[missing]
@@ -405,15 +404,26 @@ def mining_instance(draw):
 @given(mining_instance())
 def test_miner_matches_full_enumeration(case):
     dataset, catalog, theta, gamma, cap = case
-    mined = mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma, cap))
+    mined = mine(dataset, catalog, MiningConfig(theta, gamma, cap))
     expected = frequent_sets_by_enumeration(dataset, catalog, theta, gamma, cap)
     assert {s.ids: s.support for s in mined} == expected
 
 
 @given(mining_instance())
+def test_one_count_table_serves_every_gamma(case):
+    """sweep filters one theta's table for each of its gammas."""
+    dataset, catalog, theta, _, cap = case
+    counts = count_sets(dataset, catalog, theta, cap)
+    for gamma in [0.0, 0.3, 0.7, 0.9]:
+        mined = mine_frequent_sets(counts, catalog, MiningConfig(theta, gamma, cap), dataset.row_count)
+        expected = frequent_sets_by_enumeration(dataset, catalog, theta, gamma, cap)
+        assert {s.ids: s.support for s in mined} == expected
+
+
+@given(mining_instance())
 def test_closed_filter_matches_full_superset_scan(case):
     dataset, catalog, theta, gamma, cap = case
-    mined = mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma, cap))
+    mined = mine(dataset, catalog, MiningConfig(theta, gamma, cap))
     closed = filter_closed(mined)
     expected = closed_by_full_scan({s.ids: s.support for s in mined})
     assert {s.ids: s.support for s in closed} == expected
@@ -423,8 +433,8 @@ def test_closed_filter_matches_full_superset_scan(case):
 @given(mining_instance())
 def test_generated_rules_have_confidence_one_and_minimal_antecedents(case):
     dataset, catalog, theta, gamma, cap = case
-    counts = {}
-    closed = filter_closed(mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma, cap), counts=counts))
+    counts = count_sets(dataset, catalog, theta, cap)
+    closed = filter_closed(mine_frequent_sets(counts, catalog, MiningConfig(theta, gamma, cap), dataset.row_count))
     rules = generate_rules(closed, catalog, counts)
     for rule in rules:
         whole = support(dataset, rule.antecedent + rule.consequent)
@@ -448,8 +458,8 @@ def test_count_table_path_matches_the_three_stage_reference(case):
     the dfs miner, the universe probe and the bigint subset scan."""
     dataset, catalog, theta, gamma, cap = case
     config = MiningConfig(theta, gamma, cap)
-    counts = {}
-    frequent = mine_frequent_sets(dataset, catalog, config, counts=counts)
+    counts = count_sets(dataset, catalog, theta, cap)
+    frequent = mine_frequent_sets(counts, catalog, config, dataset.row_count)
     closed = filter_closed(frequent)
     rules = generate_rules(closed, catalog, counts)
     ref_frequent = frequent_sets_by_dfs(dataset, catalog, config)
@@ -460,8 +470,7 @@ def test_count_table_path_matches_the_three_stage_reference(case):
 @given(mining_instance())
 def test_count_table_holds_every_set_above_theta_with_its_row_count(case):
     dataset, catalog, theta, gamma, cap = case
-    counts = {}
-    mine_frequent_sets(dataset, catalog, MiningConfig(theta, gamma, cap), counts=counts)
+    counts = count_sets(dataset, catalog, theta, cap)
     n = dataset.row_count
     above_theta = set(frequent_sets_by_enumeration(dataset, catalog, theta, 0.0, cap))
     above_theta |= {(i,) for i, p in enumerate(catalog.predicates) if support(dataset, [p]) > theta}
@@ -491,7 +500,7 @@ def test_wide_rule_file_is_byte_identical_to_the_reference_path(tmp_path):
     config = MiningConfig(0.1, 0.3)
     trained = train_ruleset(dataset, config).ruleset
     catalog = trained.catalog
-    closed = closed_by_universe_probe(mine_frequent_sets(dataset, catalog, config))
+    closed = closed_by_universe_probe(mine(dataset, catalog, config))
     reference_rules = rules_by_subset_scan(closed, dataset, catalog)
     reference_rules += boundary_rules(trained.stats, dataset.schema)
     reference = RuleSet(

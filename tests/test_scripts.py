@@ -35,11 +35,11 @@ def test_hyperparam_sweep_writes_one_row_per_cell(tmp_path):
     out = tmp_path / "sweep.csv"
     proc = run_script(
         "run_hyperparam_sweep", "--train-rows", "300", "--test-rows", "200",
-        "--theta-grid", "0.2", "--gamma-grid", "0.3", "--out", str(out), cwd=tmp_path,
+        "--theta-grid", "0.2", "0.3", "--gamma-grid", "0", "0.3", "--out", str(out), cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert "failed:" not in proc.stdout
-    assert len(out.read_text().splitlines()) == 2  # header and the one cell
+    assert len(out.read_text().splitlines()) == 5  # header and the four cells
 
 
 def test_odds_benchmark_runs_offline_on_a_synthetic_table(tmp_path):
