@@ -34,7 +34,7 @@ def main() -> int:
     ruleset = result.ruleset
     mined = [r for r in ruleset.rules if r.kind != BOUNDARY]
     print(f"trained on {train.row_count} rows in {result.timings['total']:.2f}s")
-    print(f"catalog: {len(ruleset.catalog)} predicates")
+    print(f"catalog: {len(result.catalog)} predicates")
     print(f"rules: {len(mined)} mined, {len(ruleset.rules) - len(mined)} boundary")
     for rule in mined:
         print(f"  {ruleset.rule_text(rule)}  (support {rule.support:.2f})")

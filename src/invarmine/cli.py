@@ -162,7 +162,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     mined = sum(1 for r in result.ruleset.rules if r.kind == MINED)
     boundary = len(result.ruleset.rules) - mined
     print(f"rows: {dataset.row_count}")
-    print(f"predicates: {len(result.ruleset.catalog)}")
+    print(f"predicates: {len(result.catalog)}")
     print(f"rules: {mined} mined + {boundary} boundary = {len(result.ruleset.rules)}")
     stages = " | ".join(f"{k} {v:.3f}s" for k, v in result.timings.items())
     print(f"timings: {stages}")

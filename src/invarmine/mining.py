@@ -371,7 +371,8 @@ class RuleSet:
 
     Frozen, with the rules kept as a tuple of frozen InvariantRules, so
     the compiled form built on first use can never disagree with them:
-    other rules make another RuleSet (dataclasses.replace).
+    other rules make another RuleSet (dataclasses.replace).  supports
+    maps each predicate the rules read to its training support.
     """
 
     schema: Schema
@@ -379,7 +380,7 @@ class RuleSet:
     theta: float
     gamma: float
     max_set_size: int | None
-    catalog: PredicateCatalog
+    supports: dict[Predicate, float]
     rules: tuple[InvariantRule, ...]
 
     def __post_init__(self) -> None:
@@ -462,39 +463,28 @@ def _predicate_from_json(entry: dict, schema: Schema) -> Predicate:
 
 
 def save_ruleset(ruleset: RuleSet, path: str) -> None:
-    """Write a rule file: schema, statistics, predicates, and rules as JSON."""
+    """Write a rule file: schema, statistics, rules, and the predicates
+    the rules read, in ruleset.supports order with their supports."""
     schema = ruleset.schema
-    pred_ids: dict[Predicate, int] = {}
-    pred_entries: list[dict] = []
-
-    def intern(p: Predicate, sup: float) -> int:
-        if p in pred_ids:
-            return pred_ids[p]
-        pid = len(pred_entries)
-        pred_ids[p] = pid
-        entry = _predicate_to_json(p, schema)
-        entry["id"] = pid
-        entry["support"] = float(sup)
-        entry["text"] = p.render(schema)
-        pred_entries.append(entry)
-        return pid
-
-    for p, sup in ruleset.catalog.pairs():
-        intern(p, sup)
-    catalog_size = len(pred_entries)
-
-    rule_entries = []
-    for rid, rule in enumerate(ruleset.rules):
-        rule_entries.append(
-            {
-                "id": rid,
-                "kind": rule.kind,
-                "antecedent": [intern(p, rule.support) for p in rule.antecedent],
-                "consequent": [intern(p, rule.support) for p in rule.consequent],
-                "support": float(rule.support),
-                "text": ruleset.rule_text(rule),
-            }
-        )
+    read = {p for rule in ruleset.rules for p in (*rule.antecedent, *rule.consequent)}
+    if missing := read - ruleset.supports.keys():
+        raise MiningError(f"no training support for {sorted(p.render(schema) for p in missing)}")
+    pred_ids = {p: pid for pid, p in enumerate(p for p in ruleset.supports if p in read)}
+    pred_entries = [
+        {**_predicate_to_json(p, schema), "id": pid, "support": float(ruleset.supports[p]), "text": p.render(schema)}
+        for p, pid in pred_ids.items()
+    ]
+    rule_entries = [
+        {
+            "id": rid,
+            "kind": rule.kind,
+            "antecedent": [pred_ids[p] for p in rule.antecedent],
+            "consequent": [pred_ids[p] for p in rule.consequent],
+            "support": float(rule.support),
+            "text": ruleset.rule_text(rule),
+        }
+        for rid, rule in enumerate(ruleset.rules)
+    ]
 
     stats_entries: dict[str, dict] = {}
     for name, s in ruleset.stats.continuous.items():
@@ -516,7 +506,6 @@ def save_ruleset(ruleset: RuleSet, path: str) -> None:
         "max_set_size": ruleset.max_set_size,
         "schema": schema.to_dict(),
         "column_stats": stats_entries,
-        "catalog_size": catalog_size,
         "predicates": pred_entries,
         "rules": rule_entries,
     }
@@ -554,6 +543,13 @@ def _numbered_entries(payload: dict, key: str) -> list:
     return entries
 
 
+def _support(value: object, what: str) -> float:
+    """value, checked to be a JSON number in (0, 1]: a training support."""
+    if type(value) not in (int, float) or not 0.0 < value <= 1.0:
+        raise DataError(f"{what} has support {value!r}, not a number in (0, 1]")
+    return float(value)
+
+
 def _ruleset_from_json(payload: dict) -> RuleSet:
     version = payload["version"]
     if type(version) is not int or version != 1:
@@ -576,28 +572,26 @@ def _ruleset_from_json(payload: dict) -> RuleSet:
 
     pred_entries = _numbered_entries(payload, "predicates")
     predicates = [_predicate_from_json(entry, schema) for entry in pred_entries]
-    supports = [float(entry["support"]) for entry in pred_entries]
+    supports = {p: _support(e["support"], f"predicate {e['id']}") for p, e in zip(predicates, pred_entries)}
 
     def predicate(index: object) -> Predicate:
         if type(index) is not int or not 0 <= index < len(predicates):
             raise DataError(f"no predicate with index {index!r}")
         return predicates[index]
 
-    catalog_size = payload["catalog_size"]
-    if type(catalog_size) is not int or not 0 <= catalog_size <= len(predicates):
-        raise DataError(f"catalog_size {catalog_size!r} does not fit {len(predicates)} predicates")
-    catalog = PredicateCatalog(list(zip(predicates[:catalog_size], supports[:catalog_size])))
-
     rules = []
-    for entry in _numbered_entries(payload, "rules"):
-        rules.append(
-            InvariantRule(
-                antecedent=tuple(predicate(i) for i in entry["antecedent"]),
-                consequent=tuple(predicate(i) for i in entry["consequent"]),
-                support=float(entry["support"]),
-                kind=entry["kind"],
-            )
+    for rid, entry in enumerate(_numbered_entries(payload, "rules")):
+        rule = InvariantRule(
+            antecedent=tuple(predicate(i) for i in entry["antecedent"]),
+            consequent=tuple(predicate(i) for i in entry["consequent"]),
+            support=_support(entry["support"], f"rule {rid}"),
+            kind=entry["kind"],
         )
+        # the kind fixes the shape: a boundary rule with an antecedent leaves its column unchecked
+        if (rule.kind == BOUNDARY) == bool(rule.antecedent) or (rule.kind == BOUNDARY and rule.support != 1.0):
+            shape = f"{len(rule.antecedent)} antecedent predicates and support {rule.support}"
+            raise DataError(f"{rule.kind} rule {rid} has {shape}")
+        rules.append(rule)
     # training writes one boundary rule per column; a file short of one scores that column unchecked
     bounded = {c for r in rules if r.kind == BOUNDARY for p in r.consequent for c in p.columns()}
     if bounded != set(schema.names):
@@ -615,6 +609,6 @@ def _ruleset_from_json(payload: dict) -> RuleSet:
         theta=float(theta),
         gamma=float(gamma),
         max_set_size=max_set_size,
-        catalog=catalog,
+        supports=supports,
         rules=rules,
     )

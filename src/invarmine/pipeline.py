@@ -48,6 +48,7 @@ from .tree import (
 @dataclass
 class TrainResult:
     ruleset: RuleSet
+    catalog: PredicateCatalog
     timings: dict[str, float]
     warnings: list[str]
 
@@ -125,15 +126,18 @@ def gamma_stage(
         closed = filter_closed(frequent)
     with _timed(timings, "rules"):
         rules = generate_rules(closed, shared.catalog, shared.counts)
-        rules.extend(boundary_rules(data.stats, dataset.schema))
+        bounds = boundary_rules(data.stats, dataset.schema)
+        read = {p for r in rules for p in (*r.antecedent, *r.consequent)}
+        # in catalog order, then the envelopes, which hold on every training row
+        supports = {p: s for p, s in shared.catalog.pairs() if p in read} | {r.consequent[0]: 1.0 for r in bounds}
     return RuleSet(
         schema=dataset.schema.copy(),
         stats=data.stats,
         theta=config.theta,
         gamma=config.gamma,
         max_set_size=config.max_set_size,
-        catalog=shared.catalog,
-        rules=rules,
+        supports=supports,
+        rules=rules + bounds,
     )
 
 
@@ -147,8 +151,9 @@ def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
     theta alone; emission, a gamma filter over that table, and
     closedness by a walk over each set's immediate subsets; rule
     generation, which reads each closed set's candidate antecedents
-    from the table, plus per-column boundary rules.  Timings per stage
-    are returned in seconds.
+    from the table, plus per-column boundary rules.  The ruleset keeps
+    the supports of the predicates its rules read, the result the whole
+    catalog.  Timings per stage are returned in seconds.
     """
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
@@ -156,4 +161,4 @@ def train_ruleset(dataset: Dataset, config: MiningConfig) -> TrainResult:
     shared = theta_stage(dataset, data, config.theta, config.max_set_size, timings)
     ruleset = gamma_stage(dataset, data, shared, config, timings)
     timings["total"] = time.perf_counter() - t_start
-    return TrainResult(ruleset=ruleset, timings=timings, warnings=shared.warnings)
+    return TrainResult(ruleset=ruleset, catalog=shared.catalog, timings=timings, warnings=shared.warnings)

@@ -202,6 +202,64 @@ def rules_by_subset_scan(closed_sets, dataset, catalog):
     return rules
 
 
+def _predicate_json(predicate, schema):
+    """A predicate as a rule file entry spells it, before id, support and text."""
+    from invarmine.predicates import (
+        CategoricalDisjunction,
+        CategoricalEquals,
+        Interval,
+        Membership,
+        Range,
+    )
+
+    if isinstance(predicate, CategoricalEquals):
+        return {"type": "equals", "column": predicate.column, "value": schema.value_of(predicate.column, predicate.code)}
+    if isinstance(predicate, CategoricalDisjunction):
+        return {"type": "disjunction", "items": [[c, schema.value_of(c, v)] for c, v in predicate.items]}
+    if isinstance(predicate, Interval):
+        lower, upper = (None if abs(v) == float("inf") else float(v) for v in (predicate.lower, predicate.upper))
+        return {"type": "interval", "column": predicate.column, "lower": lower, "upper": upper}
+    if isinstance(predicate, Range):
+        return {"type": "range", "column": predicate.column, "low": predicate.low, "high": predicate.high}
+    if isinstance(predicate, Membership):
+        values = sorted(schema.value_of(predicate.column, c) for c in predicate.codes)
+        return {"type": "membership", "column": predicate.column, "values": values}
+    raise TypeError(f"not a predicate: {predicate!r}")
+
+
+def rewrite_with_whole_catalog(path, ruleset, catalog):
+    """Rewrite the rule file save_ruleset wrote at path for ruleset in the
+    layout rule files had while they carried the whole catalog.
+
+    Every catalog predicate comes first, with its catalog support; then
+    each predicate outside the catalog, in the order the rules read it,
+    with the support of the first rule reading it.  Ids are positions,
+    and catalog_size, the catalog's length, comes before the predicates.
+    """
+    import json
+    from pathlib import Path
+
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    schema = ruleset.schema
+    entries, ids = [], {}
+
+    def intern(p, sup):
+        if p not in ids:
+            ids[p] = len(entries)
+            entries.append({**_predicate_json(p, schema), "id": ids[p], "support": float(sup), "text": p.render(schema)})
+        return ids[p]
+
+    for p, sup in catalog.pairs():
+        intern(p, sup)
+    for entry, rule in zip(payload["rules"], ruleset.rules):
+        entry["antecedent"] = [intern(p, rule.support) for p in rule.antecedent]
+        entry["consequent"] = [intern(p, rule.support) for p in rule.consequent]
+    rules = payload.pop("rules")
+    del payload["predicates"]
+    payload.update(catalog_size=len(catalog), predicates=entries, rules=rules)
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def sweep_by_retraining(train, test, labels, theta_grid, gamma_grid, max_set_size, max_fpr):
     """sweep() as it stood before it shared the data and theta stages,
     kept whole: every cell retrains from scratch with train_ruleset.

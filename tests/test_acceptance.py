@@ -181,8 +181,7 @@ def test_04_predicate_generation():
     problems = []
     predicates_checked = 0
     for dataset, theta in cases:
-        ruleset = train_ruleset(dataset, MiningConfig(theta=theta, gamma=0.0)).ruleset
-        catalog = ruleset.catalog
+        catalog = train_ruleset(dataset, MiningConfig(theta=theta, gamma=0.0)).catalog
 
         intervals_by_column = {}
         equality_count = {}
@@ -318,7 +317,7 @@ def test_06_metric_correctness():
 def test_07_hyperparameter_monotonicity():
     """With a frozen catalog, rule counts never rise as theta or gamma rise."""
     dataset, _ = planted_rule_data(600, seed=43)
-    catalog = train_ruleset(dataset, MiningConfig(theta=0.05, gamma=0.0)).ruleset.catalog
+    catalog = train_ruleset(dataset, MiningConfig(theta=0.05, gamma=0.0)).catalog
     thetas = [0.1, 0.2, 0.3, 0.4, 0.5]
     gammas = [0.0, 0.3, 0.6, 0.9]
     frequent_counts = {}

@@ -16,10 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invarmine import cli, mining
-from invarmine.data import DataError, load_csv, save_schema, write_csv
+from invarmine.data import DataError, load_csv, load_schema, save_schema, write_csv
 from invarmine.detect import DetectionConfig, detect, explain
 from invarmine.evaluate import LabeledScores, standardized_pauc
 from invarmine.mining import MiningConfig, load_ruleset
+from invarmine.pipeline import train_ruleset
 from invarmine.predicates import Interval
 from invarmine.synth import planted_rule_data
 
@@ -163,9 +164,9 @@ class TestTrain:
         assert capsys.readouterr().err == (
             "warning: column 'X': no other continuous column to regress on; tree skipped\n"
         )
-        ruleset = load_ruleset(out)
-        assert Interval("X", -math.inf, high) in ruleset.catalog.predicates
-        assert Interval("X", high, math.inf) in ruleset.catalog.predicates
+        catalog = train_ruleset(load_csv(data, load_schema(schema)), MiningConfig(0.2, 0.0)).catalog
+        assert Interval("X", -math.inf, high) in catalog.predicates
+        assert Interval("X", high, math.inf) in catalog.predicates
 
     @pytest.mark.parametrize(
         "low, high", [(1.7e308, math.nextafter(1.7e308, math.inf)), (-1.7e308, 1.7e308)], ids=["top", "both-ends"]
@@ -303,6 +304,10 @@ def _first(payload, kind):
     return next(e for e in payload["predicates"] if e["type"] == kind)
 
 
+def _rule(payload, kind):
+    return next(r for r in payload["rules"] if r["kind"] == kind)
+
+
 # each edit turns the trained rule file into a malformed one
 MALFORMED_RULE_FILES = {
     "index out of range": lambda p: p["rules"][0].update(antecedent=[999]),
@@ -320,7 +325,6 @@ MALFORMED_RULE_FILES = {
     "rules reordered": lambda p: p["rules"].reverse(),
     "predicate id out of place": lambda p: p["predicates"][-1].update(id=0),
     "column_stats not an object": lambda p: p.update(column_stats=[]),
-    "catalog_size out of range": lambda p: p.update(catalog_size=-1),
     "theta above 1": lambda p: p.update(theta=1.5),
     "theta true": lambda p: p.update(theta=True),
     "gamma negative": lambda p: p.update(gamma=-3),
@@ -338,6 +342,36 @@ MALFORMED_RULE_FILES = {
     "disjunction item on a continuous column": lambda p: _first(p, "equals").update(
         type="disjunction", items=[["U1", "lo"], ["X1", "lo"]]
     ),
+    # a predicate's training support must be a JSON number in (0, 1]
+    "predicate support NaN": lambda p: p["predicates"][0].update(support=math.nan),
+    "predicate support 5": lambda p: p["predicates"][0].update(support=5.0),
+    "predicate support -1": lambda p: p["predicates"][0].update(support=-1.0),
+    "predicate support 0": lambda p: p["predicates"][0].update(support=0),
+    "predicate support a string": lambda p: p["predicates"][0].update(support="0.5"),
+    "predicate support true": lambda p: p["predicates"][0].update(support=True),
+    # a rule's kind fixes its shape
+    "boundary rule with an antecedent": lambda p: _rule(p, "boundary").update(
+        antecedent=_rule(p, "mined")["antecedent"]
+    ),
+    "boundary rule with support below 1": lambda p: _rule(p, "boundary").update(support=0.5),
+    "mined rule without an antecedent": lambda p: _rule(p, "mined").update(antecedent=[]),
+}
+
+def _support_error(value):
+    return re.escape(f"predicate 0 has support {value}, not a number in (0, 1]") + "$"
+
+
+# the error each check gives, as a pattern
+MALFORMED_RULE_FILE_ERRORS = {
+    "predicate support NaN": _support_error("nan"),
+    "predicate support 5": _support_error("5.0"),
+    "predicate support -1": _support_error("-1.0"),
+    "predicate support 0": _support_error("0"),
+    "predicate support a string": _support_error("'0.5'"),
+    "predicate support true": _support_error("True"),
+    "boundary rule with an antecedent": r"boundary rule \d+ has [1-9]\d* antecedent predicates and support 1\.0$",
+    "boundary rule with support below 1": r"boundary rule \d+ has 0 antecedent predicates and support 0\.5$",
+    "mined rule without an antecedent": r"mined rule 0 has 0 antecedent predicates and support 0\.\d+$",
 }
 
 
@@ -354,6 +388,17 @@ def test_malformed_rule_file_is_a_data_error(workdir, capsys, tmp_path, edit):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith(f"error: {bad}: malformed rule file")
+
+
+@pytest.mark.parametrize("case", MALFORMED_RULE_FILE_ERRORS)
+def test_rule_file_checks_name_what_they_refuse(workdir, tmp_path, case):
+    with open(workdir["rules"]) as fh:
+        payload = json.load(fh)
+    MALFORMED_RULE_FILES[case](payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=MALFORMED_RULE_FILE_ERRORS[case]):
+        load_ruleset(str(bad))
 
 
 def _u2(payload):
@@ -879,7 +924,7 @@ def test_commands_print_only_their_documented_lines(tmp_path):
     mined = sum(r.kind == mining.MINED for r in ruleset.rules)
     assert lines[:3] == [
         f"rows: {train.row_count}",
-        f"predicates: {len(ruleset.catalog)}",
+        f"predicates: {len(train_ruleset(train, MiningConfig(0.2, 0.3)).catalog)}",
         f"rules: {mined} mined + {len(ruleset.rules) - mined} boundary = {len(ruleset.rules)}",
     ]
     stage = r"[a-z]+ \d+\.\d{3}s"

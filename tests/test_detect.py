@@ -42,7 +42,6 @@ from invarmine.predicates import (
     CategoricalEquals,
     Interval,
     Membership,
-    PredicateCatalog,
     Range,
 )
 from invarmine.synth import planted_rule_data, random_mixed_dataset
@@ -83,7 +82,7 @@ def envelope_ruleset():
         theta=0.2,
         gamma=0.0,
         max_set_size=6,
-        catalog=PredicateCatalog([]),
+        supports={},
         rules=rules,
     )
 
@@ -121,7 +120,7 @@ class TestScoring:
             theta=0.2,
             gamma=0.0,
             max_set_size=6,
-            catalog=PredicateCatalog([]),
+            supports={},
             rules=[
                 InvariantRule(
                     antecedent=(), consequent=(Range("X", -3.0, 3.0),), support=1.0, kind=BOUNDARY
@@ -159,7 +158,7 @@ class TestThreshold:
             theta=0.2,
             gamma=0.0,
             max_set_size=6,
-            catalog=PredicateCatalog([]),
+            supports={},
             rules=rules,
         )
 
@@ -472,7 +471,7 @@ class TestDetectReports:
             theta=0.2,
             gamma=0.0,
             max_set_size=6,
-            catalog=PredicateCatalog([]),
+            supports={},
             rules=[
                 InvariantRule(
                     antecedent=(Interval("X", 0.0, INF),),
@@ -564,7 +563,7 @@ class TestExplain:
             theta=0.2,
             gamma=0.0,
             max_set_size=6,
-            catalog=PredicateCatalog([]),
+            supports={},
             rules=[
                 InvariantRule(
                     antecedent=(),
@@ -672,13 +671,19 @@ class TestCategoricalCodes:
 
 
 def hand_ruleset(schema, rules):
+    """The rules with each predicate's support taken as that of the first
+    rule reading it: a set's support never exceeds its members'."""
+    supports = {}
+    for rule in rules:
+        for p in (*rule.antecedent, *rule.consequent):
+            supports.setdefault(p, rule.support)
     return RuleSet(
         schema=schema,
         stats=ColumnStats(continuous={}, categorical={}),
         theta=0.2,
         gamma=0.0,
         max_set_size=6,
-        catalog=PredicateCatalog([]),
+        supports=supports,
         rules=rules,
     )
 

@@ -207,7 +207,7 @@ class TestMatchesDfsReference:
 
     def test_sets_failing_gamma_are_still_extended(self):
         dataset = random_mixed_dataset(3000, 6, 4, seed=1)
-        catalog = train_ruleset(dataset, MiningConfig(0.05, 0.5)).ruleset.catalog
+        catalog = train_ruleset(dataset, MiningConfig(0.05, 0.5)).catalog
         config = MiningConfig(0.05, 0.5, 6)
         found = mine(dataset, catalog, config)
         assert found == frequent_sets_by_dfs(dataset, catalog, config)
@@ -498,19 +498,19 @@ def test_wide_rule_file_is_byte_identical_to_the_reference_path(tmp_path):
     a rule file whose mined rules come from the three-stage reference path."""
     dataset = wide_blocks(2000, [0, 1, 2])
     config = MiningConfig(0.1, 0.3)
-    trained = train_ruleset(dataset, config).ruleset
-    catalog = trained.catalog
+    result = train_ruleset(dataset, config)
+    trained, catalog = result.ruleset, result.catalog
     closed = closed_by_universe_probe(mine(dataset, catalog, config))
-    reference_rules = rules_by_subset_scan(closed, dataset, catalog)
-    reference_rules += boundary_rules(trained.stats, dataset.schema)
+    bounds = boundary_rules(trained.stats, dataset.schema)
     reference = RuleSet(
         schema=dataset.schema.copy(),
         stats=trained.stats,
         theta=config.theta,
         gamma=config.gamma,
         max_set_size=config.max_set_size,
-        catalog=catalog,
-        rules=reference_rules,
+        # the whole catalog: save_ruleset writes only what the rules read
+        supports=dict(catalog.pairs()) | {r.consequent[0]: 1.0 for r in bounds},
+        rules=rules_by_subset_scan(closed, dataset, catalog) + bounds,
     )
     assert sum(r.kind == MINED for r in reference.rules) > 100  # the case is not vacuous
     save_ruleset(trained, str(tmp_path / "trained.json"))
@@ -541,6 +541,12 @@ class TestRuleSetFiles:
                 kind=MINED,
             ),
             InvariantRule(
+                antecedent=(catalog.predicates[1],),
+                consequent=(catalog.predicates[3],),
+                support=0.5,
+                kind=MINED,
+            ),
+            InvariantRule(
                 antecedent=(),
                 consequent=(Membership("U1", frozenset({0, 1, 2})),),
                 support=1.0,
@@ -563,13 +569,17 @@ class TestRuleSetFiles:
             continuous={"X1": ContinuousStats(4.5, 3.2, 1.0, 9.0)},
             categorical={"U1": ["a", "b", "c"], "U2": ["m", "n"]},
         )
+        # the supports of the predicates the rules read, as a rule file lists them
+        read = {p for r in rules for p in (*r.antecedent, *r.consequent)}
+        supports = {p: s for p, s in catalog.pairs() if p in read}
+        supports.update((r.consequent[0], 1.0) for r in rules if r.kind == BOUNDARY)
         return RuleSet(
             schema=dataset.schema.copy(),
             stats=stats,
             theta=0.2,
             gamma=0.6,
             max_set_size=None,
-            catalog=catalog,
+            supports=supports,
             rules=rules,
         )
 
@@ -579,7 +589,7 @@ class TestRuleSetFiles:
         save_ruleset(ruleset, path)
         again = load_ruleset(path)
         assert again == ruleset
-        assert again != replace(ruleset, catalog=PredicateCatalog(ruleset.catalog.pairs()[:-1]))
+        assert again != replace(ruleset, supports=dict(list(ruleset.supports.items())[:-1]))
         with pytest.raises(TypeError):
             hash(again)
         assert again.max_set_size is None
@@ -589,7 +599,16 @@ class TestRuleSetFiles:
     def test_rule_text_rendering(self):
         ruleset = self.build()
         assert ruleset.rule_text(ruleset.rules[0]) == "{U1 = a} => {X1 < 5}"
-        assert ruleset.rule_text(ruleset.rules[2]) == "{} => {-3 <= X1 <= 12.5}"
+        assert ruleset.rule_text(ruleset.rules[1]) == "{X1 >= 5} => {U1 = b | U2 = n}"
+        assert ruleset.rule_text(ruleset.rules[3]) == "{} => {-3 <= X1 <= 12.5}"
+
+    def test_saving_a_predicate_without_a_support_names_it(self, tmp_path):
+        ruleset = self.build()
+        unknown = replace(ruleset, supports={p: s for p, s in ruleset.supports.items() if p.render(ruleset.schema) != "X1 < 5"})
+        path = tmp_path / "rules.json"
+        with pytest.raises(MiningError, match=re.escape("no training support for ['X1 < 5']")):
+            save_ruleset(unknown, str(path))
+        assert not path.exists()
 
     def test_file_is_stable_json_with_texts(self, tmp_path):
         import json
@@ -599,7 +618,8 @@ class TestRuleSetFiles:
         save_ruleset(ruleset, str(path))
         payload = json.loads(path.read_text())
         assert payload["format"] == "invariant-ruleset"
-        assert payload["catalog_size"] == 4
+        assert "catalog_size" not in payload
+        assert [p["id"] for p in payload["predicates"]] == list(range(7))
         texts = [p["text"] for p in payload["predicates"]]
         assert "X1 < 5" in texts
         assert all("text" in r for r in payload["rules"])
@@ -656,7 +676,7 @@ class TestRuleSetFiles:
             lambda p: p["rules"][1].update(id=2),
             "rules entry 1 has id 2, not its position 1",
         ),
-        "rules reordered": (lambda p: p["rules"].reverse(), "rules entry 0 has id 3, not its position 0"),
+        "rules reordered": (lambda p: p["rules"].reverse(), "rules entry 0 has id 4, not its position 0"),
         "predicate id out of place": (
             lambda p: p["predicates"][0].update(id="0"),
             "predicates entry 0 has id '0', not its position 0",

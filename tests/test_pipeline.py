@@ -1,9 +1,12 @@
 """End-to-end training behavior and the synthetic generators."""
 
 import hashlib
+import json
 import math
+import shutil
 import sys
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -30,6 +33,7 @@ from invarmine.pipeline import train_ruleset
 from invarmine.synth import X3_HIGH, planted_rule_data, random_mixed_dataset
 
 from helpers import BENCH, load_script, make_dataset
+from oracles import rewrite_with_whole_catalog
 
 
 class TestTraining:
@@ -83,7 +87,7 @@ class TestTraining:
         result = train_ruleset(dataset, MiningConfig(theta=0.99, gamma=0.0))
         # min_leaf 99 forbids any split and no single value clears 0.99,
         # so the catalog holds at most the whole-column disjunction
-        assert len(result.ruleset.catalog) <= 1
+        assert len(result.catalog) <= 1
         assert [r.kind for r in result.ruleset.rules] == [BOUNDARY, BOUNDARY]
 
     def test_ruleset_schema_is_isolated_from_the_training_data(self):
@@ -231,11 +235,11 @@ class TestPinnedOutputs:
     # each case's rule file and score report SHA-256
     DIGESTS = {
         "planted": (
-            "1baca44141c80b62095684c288d8034893d16c8519cc04a89975b2b4d86f6c1e",
+            "e8ff6546f6934b8da66116e7f5ab41179d1087fd60be4f8bb12136163c379c22",
             "1ff2f1d9a65a9a6387af294e7366dc060156136d2f6615aa8dd4279d14135324",
         ),
         "random_mixed": (
-            "991feaf88dd8ff4c3178ba49743a0e678310c18ddf3f0f892ceab8f074e3c6d1",
+            "b6ab051f09f551ed5375ea1e35c2f45568281e1e92b7aa5ef46df3f8bf690066",
             "602cb2a5282c43d20c088fdba2fe7a078c25a6d8a1ef941cc7db96ab2a005404",
         ),
     }
@@ -288,6 +292,67 @@ class TestPinnedOutputs:
         assert got == digests
 
 
+def _read(rules):
+    return {p for r in rules for p in (*r.antecedent, *r.consequent)}
+
+
+class TestRuleFilePredicates:
+    """A rule file lists the predicates its rules read, each with its
+    training support, and nothing more of the catalog."""
+
+    @staticmethod
+    def trained(case="planted"):
+        tables, theta, gamma = TestPinnedOutputs.CASES[case]
+        train, test = tables()
+        return train_ruleset(train, MiningConfig(theta=theta, gamma=gamma)), test
+
+    @pytest.mark.parametrize("case", list(TestPinnedOutputs.CASES))
+    def test_every_predicate_entry_is_read_with_its_training_support(self, tmp_path, case):
+        result, _ = self.trained(case)
+        path = tmp_path / "rules.json"
+        save_ruleset(result.ruleset, str(path))
+        payload = json.loads(path.read_text())
+        entries = payload["predicates"]
+        assert {i for r in payload["rules"] for i in r["antecedent"] + r["consequent"]} == set(range(len(entries)))
+        catalog = dict(result.catalog.pairs())
+        envelopes = {r.consequent[0] for r in result.ruleset.rules if r.kind == BOUNDARY}
+        supports = load_ruleset(str(path)).supports
+        assert len(supports) == len(entries)
+        for p, sup in supports.items():
+            assert sup == (catalog[p] if p in catalog else 1.0) and (p in catalog or p in envelopes)
+        assert len(catalog) > sum(p in catalog for p in supports)  # the catalog has unread predicates
+
+    def test_a_file_of_kept_rules_lists_only_what_they_read(self, tmp_path):
+        """Leaving rules out the way score_point's docstring says."""
+        result, test = self.trained()
+        ruleset = result.ruleset
+        kept = replace(ruleset, rules=[r for i, r in enumerate(ruleset.rules) if r.kind == BOUNDARY or i == 0])
+        path = str(tmp_path / "rules.json")
+        save_ruleset(kept, path)
+        loaded = load_ruleset(path)
+        assert set(loaded.supports) == _read(kept.rules) < _read(ruleset.rules)
+        assert loaded.rules == kept.rules
+        scores = score_dataset(loaded, test)
+        assert scores.any() and np.array_equal(scores, score_dataset(kept, test))
+
+    def test_a_file_with_the_whole_catalog_loads_as_its_rewrite(self, tmp_path):
+        """Files written with the whole catalog and catalog_size still load;
+        saved again, they are the file training writes now."""
+        result, test = self.trained()
+        new, old, again = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "again.json"
+        save_ruleset(result.ruleset, str(new))
+        shutil.copy(new, old)
+        rewrite_with_whole_catalog(old, result.ruleset, result.catalog)
+        payload = json.loads(old.read_text())
+        assert payload["catalog_size"] == len(result.catalog)
+        assert len(payload["predicates"]) > len(json.loads(new.read_text())["predicates"])
+        loaded = load_ruleset(str(old))
+        save_ruleset(loaded, str(again))
+        assert again.read_bytes() == new.read_bytes()
+        scores = score_dataset(loaded, test)
+        assert scores.any() and np.array_equal(scores, score_dataset(load_ruleset(str(new)), test))
+
+
 @pytest.fixture(scope="module")
 def workloads():
     """bench/workloads.py, only read."""
@@ -300,17 +365,17 @@ def workloads():
     [
         (
             "tall",
-            "5a7f700dca8c35157ef76af3932ac4bee8e1dff6f6e63e1faa93206a29ea94c8",
+            "04510a55d2cbf6c267a5695bb430b0e30b87dbf6786d1f348a39865493425ba4",
             "5cdb59922a8333cb6ac183e432c6ca5cf50acf12eb7f50a371a883f1f7c9cd5b",
         ),
         (
             "noisy",
-            "796694014c8cf5c3749c6048a1b8e683c5859b86f599b188cc09b4cd76cb8965",
+            "6587f05ab094f2365ede37f0b8b8936688bd9e9f05389aece0de75e4c4a1b901",
             "c1a5ba53639bc5f2872fe6cf567229be334de29292a2e9381239a05fa8ba15e9",
         ),
         (
             "wide",
-            "ba0bee7a3f4233d4967fdaa6c5a3ce4bff54c66b7525effcd65fe0cee7c1475d",
+            "1360c12c2fc5d7abe98265e598c664370cf72e1e94e6991a9791f10c94f3519c",
             "adf72aaa0faf3774db29f5e38d1ebc0aea4adfea7e884de41e6b15cd2b6ac01c",
         ),
     ],
@@ -338,6 +403,17 @@ def test_bench_instances_keep_their_bytes(tmp_path, capsys, workloads, block, na
     capsys.readouterr()
     assert (trained, scored) == (0, 1)
     assert (_sha256(rules), _sha256(report)) == (rules_digest, report_digest)
+
+
+def test_the_bench_tracer_finds_every_name_it_wraps():
+    """bench/tracing.py wraps CLI and pipeline functions by name; a name
+    the program no longer has would drop its per-layer metrics."""
+    tracer = load_script("tracing", BENCH).Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
 
 
 # Floats that have broken training before or sit at an edge of float64:

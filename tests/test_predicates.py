@@ -16,7 +16,6 @@ from invarmine.predicates import (
     CompiledRules,
     Interval,
     Membership,
-    PredicateCatalog,
     Range,
     gen_categorical_predicates,
     gen_continuous_predicates,
@@ -147,7 +146,7 @@ def rules_and_rows(draw):
         theta=0.1,
         gamma=0.0,
         max_set_size=6,
-        catalog=PredicateCatalog([]),
+        supports={},
         rules=rules,
     )
     ignore = frozenset(draw(st.sets(st.integers(min_value=0, max_value=len(rules) - 1))))
