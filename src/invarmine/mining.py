@@ -12,8 +12,9 @@ than theta alone would demand.  This condition is not downward closed
 sigma(S) > theta alone is, which is what the depth-first enumeration
 prunes on.  Each predicate's rows are packed once into a uint64 bit
 row; a set's children are counted together with one AND and popcount
-over the rows of its candidate list, the later siblings that passed
-theta, which is exact because sigma(S + {i, j}) <= sigma(S + {j}).
+over the rows of its candidate list, the siblings that passed theta
+after it in ascending count order, which is exact because
+sigma(S + {i, j}) <= sigma(S + {j}).
 
 That pass, count_sets, is the only place where predicate sets are
 counted, and it depends on theta alone.  It records the row count of
@@ -126,10 +127,10 @@ class FrequentSet:
 
 # Candidate checks one count_sets call may make (a check is one
 # popcounted row of a node's intersection matrix, about 3 us on a 20k-row
-# table).  The benchmark training tables need at most 79k (noisy), so the
-# cap is over 100x that.  It is a bound, not a tuning knob: it turns a
-# theta or max_set_size loose enough to enumerate for hours into an error
-# naming both.
+# table).  The benchmark training tables need at most 48k (wide; noisy
+# 29k, tall 398), so the cap is over 200x that.  It is a bound, not a
+# tuning knob: it turns a theta or max_set_size loose enough to
+# enumerate for hours into an error naming both.
 _MAX_CANDIDATE_CHECKS = 10_000_000
 
 
@@ -157,15 +158,25 @@ def count_sets(
     whose support passes theta, keyed by its ascending ids.
 
     Depth-first over equivalence classes (Zaki's Eclat): a node is a set
-    S in ascending index order with its packed tidset row and a candidate
-    list, the ascending indices j > max(S) still worth trying.  One
-    popcount over the candidates' rows ANDed with S's row counts every
-    child S + {j}; children with sigma > theta are kept, and each keeps
-    the passing siblings after it as its own candidate list and its row
-    of that AND as its tidset.  This is exact: sigma(S + {i, j}) <=
-    sigma(S + {j}), so a sibling that failed theta can only fail again
-    below, and the sets visited are exactly those of trying every later
-    index.  The singletons come from the root pass.
+    S with its packed tidset row and a candidate list.  One popcount over
+    the candidates' rows ANDed with S's row counts every child S + {j};
+    children with sigma > theta are kept, in ascending count order (ties
+    by catalog id), and each keeps the passing siblings after it in that
+    order as its own candidate list and its row of that AND as its
+    tidset.  This is exact: sigma(S + {i, j}) <= sigma(S + {j}), so a
+    sibling that failed theta can only fail again below, and each set
+    above theta is visited once, along its members in that order.  The
+    root pass counts the singletons and orders them the same way.
+    Rarest first is the cheap order (Borgelt, FIMI 2003): the rarest
+    child ANDs its tidset, the smallest, with the most siblings, so its
+    candidates fail early, and the commonest child has the fewest.
+
+    Every root whose count passes is extended, but a set of size 2 or
+    more is recorded only when its smallest id caches a catalog support
+    above theta.  That keeps the table of the walk in id order, where
+    the smallest id was the root and only such roots were extended.  It
+    differs from every set above theta only for catalogs whose cached
+    supports are not their predicates' row counts on this dataset.
 
     Raises MiningError once the enumeration passes a fixed budget of
     candidate checks; each table entry is one check, so the budget
@@ -173,44 +184,48 @@ def count_sets(
     """
     n = dataset.row_count
     cap = max_set_size if max_set_size is not None else len(catalog)
-    singleton = catalog.supports
+    rooted = [sup > theta for sup in catalog.supports]
     table: dict[tuple[int, ...], int] = {}
     tids = _tidsets(dataset, catalog)
+    total = np.uint32 if n < 2**32 else np.uint64  # half the time of the uint64 default
     checks = 0
 
-    def passing(rows: np.ndarray, cand: np.ndarray) -> tuple[list[int], list[int]]:
+    def passing(rows: np.ndarray) -> tuple[list[int], list[int]]:
+        """The positions of rows whose count passes theta, in ascending
+        count order (ties by position), and every row's count."""
         nonlocal checks
-        checks += len(cand)
+        checks += len(rows)
         if checks > _MAX_CANDIDATE_CHECKS:
             raise MiningError(
                 f"frequent-set enumeration passed {_MAX_CANDIDATE_CHECKS} candidate checks; "
                 f"raise theta (now {theta}) or lower max_set_size (now {max_set_size})"
             )
-        hits = np.bitwise_count(rows).sum(axis=1).tolist()
-        return [k for k, c in enumerate(hits) if c / n > theta], hits
+        hits = np.add.reduce(np.bitwise_count(rows), axis=1, dtype=total).tolist()
+        kept = [k for k, c in enumerate(hits) if c / n > theta]
+        kept.sort(key=hits.__getitem__)
+        return kept, hits
 
     def extend(ids: list[int], tid: np.ndarray, cand: np.ndarray) -> None:
-        rows = tids[cand] & tid
-        kept, hits = passing(rows, cand)
+        rows = tids[cand]
+        rows &= tid
+        kept, hits = passing(rows)
         later = cand[kept]
         for pos, (k, j) in enumerate(zip(kept, later.tolist())):
             ids.append(j)
-            table[tuple(ids)] = hits[k]
+            key = tuple(sorted(ids))
+            if rooted[key[0]]:
+                table[key] = hits[k]
             if len(ids) < cap and pos + 1 < len(kept):
                 extend(ids, rows[k], later[pos + 1 :])
             ids.pop()
 
     # Candidates are the indices whose own row count passes theta: that count,
     # not the catalog's cached support, bounds every set containing the index.
-    # A root is extended when its cached support passes too; a root whose
-    # count fails has no passing child either way.
-    everything = np.arange(len(catalog))
-    kept, hits = passing(tids, everything)
-    frequent = everything[kept]
+    kept, hits = passing(tids)
     table.update(((j,), hits[j]) for j in kept)
-    for pos, j in enumerate(frequent.tolist()):
-        if singleton[j] > theta:
-            extend([j], tids[j], frequent[pos + 1 :])
+    frequent = np.array(kept, dtype=np.intp)
+    for pos, j in enumerate(kept):
+        extend([j], tids[j], frequent[pos + 1 :])
     return table
 
 
@@ -462,10 +477,27 @@ def _predicate_from_json(entry: dict, schema: Schema) -> Predicate:
     raise DataError(f"unknown predicate type {t!r}")
 
 
+def _shape_error(rid: int, rule: InvariantRule) -> str | None:
+    """Why a rule file cannot hold rule rid, or None when it can.
+
+    The kind fixes the shape: a mined rule has an antecedent, and a
+    boundary rule has none and support 1.  A boundary rule with an
+    antecedent leaves its column unchecked."""
+    if (rule.kind == BOUNDARY) == bool(rule.antecedent) or (rule.kind == BOUNDARY and rule.support != 1.0):
+        return f"{rule.kind} rule {rid} has {len(rule.antecedent)} antecedent predicates and support {rule.support}"
+    return None
+
+
 def save_ruleset(ruleset: RuleSet, path: str) -> None:
     """Write a rule file: schema, statistics, rules, and the predicates
-    the rules read, in ruleset.supports order with their supports."""
+    the rules read, in ruleset.supports order with their supports.
+
+    A rule load_ruleset would refuse for its shape raises MiningError
+    naming its id, before the file is opened."""
     schema = ruleset.schema
+    for rid, rule in enumerate(ruleset.rules):
+        if shape := _shape_error(rid, rule):
+            raise MiningError(shape)
     read = {p for rule in ruleset.rules for p in (*rule.antecedent, *rule.consequent)}
     if missing := read - ruleset.supports.keys():
         raise MiningError(f"no training support for {sorted(p.render(schema) for p in missing)}")
@@ -587,10 +619,8 @@ def _ruleset_from_json(payload: dict) -> RuleSet:
             support=_support(entry["support"], f"rule {rid}"),
             kind=entry["kind"],
         )
-        # the kind fixes the shape: a boundary rule with an antecedent leaves its column unchecked
-        if (rule.kind == BOUNDARY) == bool(rule.antecedent) or (rule.kind == BOUNDARY and rule.support != 1.0):
-            shape = f"{len(rule.antecedent)} antecedent predicates and support {rule.support}"
-            raise DataError(f"{rule.kind} rule {rid} has {shape}")
+        if shape := _shape_error(rid, rule):
+            raise DataError(shape)
         rules.append(rule)
     # training writes one boundary rule per column; a file short of one scores that column unchecked
     bounded = {c for r in rules if r.kind == BOUNDARY for p in r.consequent for c in p.columns()}

@@ -124,6 +124,52 @@ def frequent_sets_by_dfs(dataset, catalog, config):
     return out
 
 
+def count_sets_in_id_order(dataset, catalog, theta, max_set_size):
+    """count_sets() as it stood before it visited candidates rarest first,
+    kept whole, without the check budget.
+
+    Every node tries its candidates in ascending catalog id: a node is a
+    set S with its packed tidset row and the indices j > max(S) that
+    passed theta as siblings.  Roots are the indices whose row count
+    passes theta, and only those whose cached catalog support passes
+    theta too are extended.  Returns the count table {ascending ids: row
+    count}, singletons included.
+    """
+    n = dataset.row_count
+    cap = max_set_size if max_set_size is not None else len(catalog)
+    words = -(-n // 64)
+    packed = np.zeros((len(catalog), 8 * words), dtype=np.uint8)
+    for i, p in enumerate(catalog.predicates):
+        bits = np.packbits(np.ascontiguousarray(p.mask(dataset)))
+        packed[i, : bits.size] = bits
+    tids = packed.view(np.uint64)
+    table = {}
+
+    def passing(rows):
+        hits = np.bitwise_count(rows).sum(axis=1).tolist()
+        return [k for k, c in enumerate(hits) if c / n > theta], hits
+
+    def extend(ids, tid, cand):
+        rows = tids[cand] & tid
+        kept, hits = passing(rows)
+        later = cand[kept]
+        for pos, (k, j) in enumerate(zip(kept, later.tolist())):
+            ids.append(j)
+            table[tuple(ids)] = hits[k]
+            if len(ids) < cap and pos + 1 < len(kept):
+                extend(ids, rows[k], later[pos + 1 :])
+            ids.pop()
+
+    everything = np.arange(len(catalog))
+    kept, hits = passing(tids)
+    frequent = everything[kept]
+    table.update(((j,), hits[j]) for j in kept)
+    for pos, j in enumerate(frequent.tolist()):
+        if catalog.supports[j] > theta:
+            extend([j], tids[j], frequent[pos + 1 :])
+    return table
+
+
 def closed_by_full_scan(table):
     """Entries of {ids: support} with no equal-support strict superset anywhere."""
     out = {}

@@ -124,14 +124,16 @@ class TestTrain:
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_enumeration_past_its_bound_is_an_error(self, workdir, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", 5)
+        # theta 0.2 with no size cap takes 300 candidate checks here, 18 of them in
+        # the root pass, so 100 stops the enumeration inside the search
+        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", 100)
         code = cli.main(
             ["train", "--data", workdir["train"], "--schema", workdir["schema"], "--theta", "0.2",
              "--gamma", "0.3", "--max-set-size", "0", "--out", str(tmp_path / "rules.json")]
         )
         captured = capsys.readouterr()
         assert code == 3
-        assert captured.err.startswith("error: frequent-set enumeration passed 5 candidate checks")
+        assert captured.err.startswith("error: frequent-set enumeration passed 100 candidate checks")
         assert "max_set_size (now None)" in captured.err
 
     def test_cell_over_the_csv_field_limit_is_a_data_error(self, workdir, capsys, tmp_path):

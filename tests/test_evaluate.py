@@ -294,7 +294,8 @@ class TestSharedStageErrors:
 
     def test_a_failed_theta_stage_runs_once_and_fails_each_of_its_cells(self, monkeypatch):
         train, test, labels = sweep_tables(False)
-        # on this table, 200 candidate checks count theta 0.3's sets but not theta 0.1's
+        # on this table theta 0.3's sets take 94 candidate checks and theta 0.1's 587,
+        # so 200 counts the first but not the second
         monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", 200)
         calls = self.counted(monkeypatch, "theta_stage", theta_stage)
         result = sweep(train, test, labels, [0.1, 0.3, 0.1], [0.0, 0.5, 0.9], max_set_size=4)

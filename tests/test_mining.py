@@ -1,5 +1,6 @@
 """Frequent-set mining, closedness, rule generation, and rule files."""
 
+import hashlib
 import re
 from dataclasses import replace
 
@@ -49,6 +50,7 @@ from helpers import build_catalog, make_dataset, make_schema, mine, random_predi
 from oracles import (
     closed_by_full_scan,
     closed_by_universe_probe,
+    count_sets_in_id_order,
     frequent_sets_by_dfs,
     frequent_sets_by_enumeration,
     rules_by_subset_scan,
@@ -215,6 +217,19 @@ class TestMatchesDfsReference:
         emitted = {s.ids for s in found}
         assert any(len(s.ids) > 2 and s.ids[:-1] not in emitted for s in found)
 
+    def test_a_set_whose_smallest_id_caches_a_failing_support_is_left_out(self):
+        """Predicate 0 holds on 6 of 10 rows but caches support 0.1, not above
+        theta.  Rarest first, predicates 1 (3 rows) and 2 (4 rows) come before
+        it and reach {0, 1} and {0, 2}, whose counts pass theta; in id order
+        their root is 0, which is never extended, so the table leaves them out."""
+        dataset = indicator_dataset(10, set(range(6)), {0, 1, 2}, {0, 1, 2, 3})
+        true_supports = build_catalog(dataset, indicator_predicates(3))
+        assert {(0, 1), (0, 2)} <= count_sets(dataset, true_supports, 0.15, 2).keys()  # the case is not vacuous
+        catalog = PredicateCatalog(list(zip(indicator_predicates(3), [0.1, 0.3, 0.4])))
+        config = MiningConfig(0.15, 0.0, 2)
+        assert count_sets(dataset, catalog, 0.15, 2) == {(0,): 6, (1,): 3, (2,): 4, (1, 2): 3}
+        assert mine(dataset, catalog, config) == frequent_sets_by_dfs(dataset, catalog, config)
+
     @pytest.mark.parametrize("supports", [[], [0.2, 0.25]], ids=["empty catalog", "no root above theta"])
     def test_nothing_to_mine(self, supports):
         dataset = indicator_dataset(8, {0, 1}, {0, 1, 2, 3, 4})
@@ -222,6 +237,13 @@ class TestMatchesDfsReference:
         config = MiningConfig(0.25, 0.0, None)
         assert mine(dataset, catalog, config) == []
         assert frequent_sets_by_dfs(dataset, catalog, config) == []
+
+
+@given(dfs_instance())
+def test_count_table_matches_the_walk_in_id_order(case):
+    dataset, catalog, config = case
+    theta, cap = config.theta, config.max_set_size
+    assert count_sets(dataset, catalog, theta, cap) == count_sets_in_id_order(dataset, catalog, theta, cap)
 
 
 class TestEnumerationBound:
@@ -237,6 +259,17 @@ class TestEnumerationBound:
         message = f"passed {checks - 1} candidate checks; raise theta .* or lower max_set_size"
         with pytest.raises(MiningError, match=message):
             count_sets(dataset, catalog, config.theta, config.max_set_size)
+
+    def test_a_generated_table_takes_a_pinned_number_of_checks(self, monkeypatch):
+        # rarest first this table takes 2741 checks; in catalog-id order it took 5358
+        dataset = random_mixed_dataset(3000, 6, 4, seed=1)
+        catalog = train_ruleset(dataset, MiningConfig(0.05, 0.0)).catalog
+        checks = 2741
+        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", checks)
+        assert len(count_sets(dataset, catalog, 0.05, 6)) == 1030
+        monkeypatch.setattr(mining, "_MAX_CANDIDATE_CHECKS", checks - 1)
+        with pytest.raises(MiningError, match=f"passed {checks - 1} candidate checks"):
+            count_sets(dataset, catalog, 0.05, 6)
 
 
 class TestClosed:
@@ -479,6 +512,20 @@ def test_count_table_holds_every_set_above_theta_with_its_row_count(case):
         assert count == round(support(dataset, [catalog.predicates[i] for i in ids]) * n)
 
 
+@given(mining_instance(), st.data())
+def test_permuting_the_catalog_relabels_the_table(case, data):
+    """With cached supports the rows' own, the table is every set above
+    theta, so the catalog's order only names its keys."""
+    dataset, catalog, theta, _, cap = case
+    pairs = catalog.pairs()
+    order = data.draw(st.permutations(range(len(pairs))))
+    permuted = PredicateCatalog([pairs[i] for i in order])
+    new_id = {old: new for new, old in enumerate(order)}
+    table = count_sets(dataset, catalog, theta, cap)
+    relabelled = {tuple(sorted(new_id[i] for i in ids)): c for ids, c in table.items()}
+    assert count_sets(dataset, permuted, theta, cap) == relabelled
+
+
 def wide_blocks(n_rows, seeds):
     """planted_rule_data tables side by side, block b's columns suffixed _b."""
     columns, data = [], {}
@@ -493,12 +540,18 @@ def wide_blocks(n_rows, seeds):
     return Dataset.from_columns(Schema(columns), data)
 
 
-def test_wide_rule_file_is_byte_identical_to_the_reference_path(tmp_path):
-    """Training on a wide table (three planted blocks) writes the same bytes as
-    a rule file whose mined rules come from the three-stage reference path."""
+@pytest.fixture(scope="module")
+def wide_trained():
+    """A wide table (three planted blocks) and its training at theta 0.1, gamma 0.3."""
     dataset = wide_blocks(2000, [0, 1, 2])
     config = MiningConfig(0.1, 0.3)
-    result = train_ruleset(dataset, config)
+    return dataset, config, train_ruleset(dataset, config)
+
+
+def test_wide_rule_file_is_byte_identical_to_the_reference_path(tmp_path, wide_trained):
+    """Training on a wide table (three planted blocks) writes the same bytes as
+    a rule file whose mined rules come from the three-stage reference path."""
+    dataset, config, result = wide_trained
     trained, catalog = result.ruleset, result.catalog
     closed = closed_by_universe_probe(mine(dataset, catalog, config))
     bounds = boundary_rules(trained.stats, dataset.schema)
@@ -516,6 +569,14 @@ def test_wide_rule_file_is_byte_identical_to_the_reference_path(tmp_path):
     save_ruleset(trained, str(tmp_path / "trained.json"))
     save_ruleset(reference, str(tmp_path / "reference.json"))
     assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def test_a_trained_rule_file_keeps_its_bytes(tmp_path, wide_trained):
+    """The writer's shape check passes every rule training makes (942 mined
+    here), and the file keeps its pinned SHA-256."""
+    path = tmp_path / "rules.json"
+    save_ruleset(wide_trained[2].ruleset, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "de25c40f044fa0b0897575e7695235bc06635163aab57f74f31cf432ecb3cd20"
 
 
 class TestRuleSetFiles:
@@ -608,6 +669,36 @@ class TestRuleSetFiles:
         path = tmp_path / "rules.json"
         with pytest.raises(MiningError, match=re.escape("no training support for ['X1 < 5']")):
             save_ruleset(unknown, str(path))
+        assert not path.exists()
+
+    # each edit turns one of build's rules into one that load_ruleset refuses for its shape
+    MISSHAPEN = {
+        "mined rule without an antecedent": (
+            1,
+            lambda rule: replace(rule, antecedent=()),
+            "mined rule 1 has 0 antecedent predicates and support 0.5",
+        ),
+        "boundary rule with an antecedent": (
+            3,
+            lambda rule: replace(rule, antecedent=(CategoricalEquals("U1", 0),)),
+            "boundary rule 3 has 1 antecedent predicates and support 1.0",
+        ),
+        "boundary rule with support below 1": (
+            4,
+            lambda rule: replace(rule, support=0.5),
+            "boundary rule 4 has 0 antecedent predicates and support 0.5",
+        ),
+    }
+
+    @pytest.mark.parametrize("rid, edit, message", MISSHAPEN.values(), ids=MISSHAPEN)
+    def test_saving_a_rule_the_loader_refuses_names_it(self, tmp_path, rid, edit, message):
+        ruleset = self.build()
+        rules = list(ruleset.rules)
+        rules[rid] = edit(rules[rid])
+        path = tmp_path / "rules.json"
+        with pytest.raises(MiningError) as exc:
+            save_ruleset(replace(ruleset, rules=rules), str(path))
+        assert str(exc.value) == message
         assert not path.exists()
 
     def test_file_is_stable_json_with_texts(self, tmp_path):
